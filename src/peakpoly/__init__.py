@@ -8,7 +8,6 @@ integer arithmetic; nothing here is floating point.
 
 from peakpoly.engine import (
     DerivedPair,
-    PolynomialCache,
     count_via_formula,
     count_via_recursion,
     derived_sets,
@@ -57,7 +56,6 @@ __all__ = [
     "DifferenceTable",
     "EnumerationCapError",
     "InadmissibleSetError",
-    "PolynomialCache",
     "SweepSummary",
     "VerificationReport",
     "as_peak_set",

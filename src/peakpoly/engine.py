@@ -18,11 +18,11 @@ above, a one-step recursion on n, and the exhaustive oracle, so each
 route can cross-check the others.
 """
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from peakpoly.intpoly import BinomialPolynomial, sum_polynomials
+from peakpoly.intpoly import BinomialPolynomial
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     InadmissibleSetError,
@@ -31,7 +31,6 @@ from peakpoly.perms import (
     as_peak_set,
     group_permutations_by_peak_set,
     is_admissible,
-    is_structurally_admissible,
     structural_violation,
 )
 
@@ -54,6 +53,23 @@ class DerivedPair:
     omitted: PeakSet
 
 
+def _slides(s: PeakSet) -> list[tuple[int, PeakSet, bool, PeakSet]]:
+    """(pivot, lowered, lowered admissible, omitted) at each element of s.
+
+    s must be canonical, nonempty and structurally admissible, so the
+    lowered set is admissible exactly when the pivot sits more than 2
+    above its predecessor (or above 0, for the first element).
+    """
+    out = []
+    previous = 0
+    for idx, pivot in enumerate(s):
+        kept = s[:idx]
+        slid = tuple(v - 1 for v in s[idx:])
+        out.append((pivot, kept + slid, pivot - previous > 2, kept + slid[1:]))
+        previous = pivot
+    return out
+
+
 def derived_sets(positions: Iterable[int]) -> tuple[DerivedPair, ...]:
     """All |S| derived (lowered, omitted) pairs of a peak set, in position order.
 
@@ -67,90 +83,46 @@ def derived_sets(positions: Iterable[int]) -> tuple[DerivedPair, ...]:
     reason = structural_violation(s)
     if reason is not None:
         raise InadmissibleSetError(reason)
-    pairs = []
-    for idx, pivot in enumerate(s):
-        kept = s[:idx]
-        slid = tuple(v - 1 for v in s[idx:])
-        lowered = kept + slid
-        omitted = kept + slid[1:]
-        pairs.append(DerivedPair(pivot, lowered,
-                                 is_structurally_admissible(lowered), omitted))
-    return tuple(pairs)
+    return tuple(DerivedPair(*slide) for slide in _slides(s))
 
 
-class PolynomialCache:
-    """Memo table from canonical peak set to its peak polynomial.
-
-    Unbounded by default; with max_entries set the table stops admitting
-    new entries once full (lookups stay correct, later sets are recomputed
-    on demand).  Reads and writes are single dict operations, so concurrent
-    use from threads behaves as a linearizable pure-function table; at
-    worst two threads compute the same entry, which is harmless.
-    """
-
-    def __init__(self, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 0:
-            raise ValueError("max_entries must be None or >= 0")
-        self._max_entries = max_entries
-        self._table: dict[PeakSet, BinomialPolynomial] = {}
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, key) -> bool:
-        return as_peak_set(key) in self._table
-
-    def get(self, key) -> BinomialPolynomial | None:
-        return self._table.get(as_peak_set(key))
-
-    def put(self, key, poly: BinomialPolynomial) -> None:
-        key = as_peak_set(key)
-        if (self._max_entries is None or key in self._table
-                or len(self._table) < self._max_entries):
-            self._table[key] = poly
-
-    def clear(self) -> None:
-        self._table.clear()
-
-
-_shared_cache = PolynomialCache()
-
-
-def peak_polynomial(positions: Iterable[int],
-                    cache: PolynomialCache | None = _shared_cache,
-                    ) -> BinomialPolynomial:
+def peak_polynomial(positions: Iterable[int]) -> BinomialPolynomial:
     """The peak polynomial of a structurally admissible (or empty) peak set.
 
     Returned centred at max(S) with constant coefficient 0; the empty set
-    gives the constant 1.  Pass cache=None to disable memoization (the
-    result is identical, only slower).
+    gives the constant 1.  Results are memoized process-wide.
     """
     s = as_peak_set(positions)
-    if s:
-        reason = structural_violation(s)
-        if reason is not None:
-            raise InadmissibleSetError(reason)
-    return _peak_polynomial(s, cache)
-
-
-def _peak_polynomial(s: PeakSet, cache: PolynomialCache | None) -> BinomialPolynomial:
     if not s:
         return _CONSTANT_ONE
-    if not is_structurally_admissible(s):
-        # counts nothing at any length, and keeps the recursion total
-        return BinomialPolynomial.zero(s[-1])
-    if cache is not None:
-        hit = cache.get(s)
-        if hit is not None:
-            return hit
+    reason = structural_violation(s)
+    if reason is not None:
+        raise InadmissibleSetError(reason)
+    return _peak_polynomial(s)
+
+
+_polynomials: dict[PeakSet, BinomialPolynomial] = {}
+
+
+def _peak_polynomial(s: PeakSet) -> BinomialPolynomial:
+    """peak_polynomial for a canonical, nonempty, admissible s.
+
+    p_S is its first difference, summed at centre m over the admissible
+    derived sets (each of degree <= m - 2), shifted right with p_S(m) = 0.
+    """
+    poly = _polynomials.get(s)
+    if poly is not None:
+        return poly
     m = s[-1]
-    pairs = derived_sets(s)
-    parts = [_peak_polynomial(pair.lowered, cache) for pair in pairs]
-    parts += [_peak_polynomial(pair.omitted, cache) for pair in pairs]
-    first_difference = sum_polynomials(parts)
-    poly = first_difference.recenter(m).antidifference(m, 0)
-    if cache is not None:
-        cache.put(s, poly)
+    difference = [0] * (m - 1)
+    for _, lowered, lowered_admissible, omitted in _slides(s):
+        parts = (lowered, omitted) if lowered_admissible else (omitted,)
+        for part in parts:
+            derived = _peak_polynomial(part) if part else _CONSTANT_ONE
+            for j, c in enumerate(derived.recenter(m).coeffs):
+                difference[j] += c
+    poly = BinomialPolynomial(m, (0, *difference))
+    _polynomials[s] = poly
     return poly
 
 
@@ -164,32 +136,43 @@ def count_via_formula(positions: Iterable[int], n: int) -> int:
     return peak_polynomial(s).evaluate(n) * 2 ** (n - len(s) - 1)
 
 
-@lru_cache(maxsize=None)
-def _recursive_count(s: PeakSet, q: int) -> int:
-    if not s:
-        return 2 ** (q - 1)
-    if not is_admissible(s, q):
-        return 0
-    # q - 1 >= max(s) here, so the one-step insertion recursion applies
-    prev = q - 1
-    total = 2 * _recursive_count(s, prev)
-    for pair in derived_sets(s):
-        total += 2 * _recursive_count(pair.lowered, prev)
-        total += _recursive_count(pair.omitted, prev)
-    return total
+def _recursion_counts(s: PeakSet) -> Iterator[int]:
+    """count(s, q) for q = 1, 2, ... for a canonical s (0 if inadmissible).
+
+    count(t, q) = 2 count(t, q-1) + the sum over derived pairs of
+    2 count(lowered, q-1) + count(omitted, q-1) when max(t) < q, else 0,
+    over the closure of s under derived sets, one length at a time.
+    """
+    if s and structural_violation(s) is not None:
+        yield from itertools.repeat(0)  # never returns
+    terms: dict[PeakSet, list[tuple[int, PeakSet]]] = {}
+    pending = [s]
+    while pending:
+        t = pending.pop()
+        if t in terms:
+            continue
+        terms[t] = [(2, t)]
+        for _, lowered, lowered_admissible, omitted in (_slides(t) if t else ()):
+            terms[t] += [(2, lowered), (1, omitted)] if lowered_admissible else [(1, omitted)]
+        pending += [u for _, u in terms[t][1:]]
+    counts = {t: 0 if t else 1 for t in terms}
+    for q in itertools.count(2):
+        yield counts[s]
+        counts = {t: sum(w * counts[u] for w, u in rule) if not t or t[-1] < q else 0
+                  for t, rule in terms.items()}
 
 
 def count_via_recursion(positions: Iterable[int], n: int) -> int:
-    """The same count as count_via_formula, by downward recursion on n.
+    """The same count as count_via_formula, by the recursion on length.
 
-    Each step trades length n for length n-1 over the derived sets;
-    inadmissibility at the current length is the base case.  Results are
-    memoized process-wide (the memo is a pure function table).
+    Each step trades length q for length q-1 over the derived sets;
+    inadmissibility at the current length is the base case.  Runs bottom-up
+    from length 1 and keeps one length's counts, so n sets no depth limit.
     """
     s = as_peak_set(positions)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _recursive_count(s, n)
+    return next(itertools.islice(_recursion_counts(s), n - 1, None))
 
 
 INSERTION_CASE_LABELS = ("1", "2", "3", "4.1", "4.2", "5")

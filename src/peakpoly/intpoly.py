@@ -11,8 +11,9 @@ values and 0 <= t < j gives 0.
 
 This basis is what makes the whole package exact.  The forward difference
 (Df)(x) = f(x+1) - f(x) is a plain left shift of the coefficient sequence,
-its inverse is a right shift, and re-centering is a finite-difference
-table read, so nothing ever leaves arbitrary-precision integers.
+its inverse is a right shift, and moving the centre by one is the Pascal
+step b_j = a_j + a_(j+1), so nothing ever leaves arbitrary-precision
+integers.  Coefficient j at centre k is (D^j f)(k).
 """
 
 import csv
@@ -112,17 +113,22 @@ class BinomialPolynomial:
     def recenter(self, new_center: int) -> "BinomialPolynomial":
         """The same polynomial re-expanded around new_center.
 
-        Evaluates at new_center..new_center+degree and reads the leading
-        column of the finite-difference triangle, which keeps this routine
-        independently checkable against difference_table.
+        C(x - k, j) = C(x - k - 1, j) + C(x - k - 1, j - 1), so moving the
+        centre up by one is the Pascal step b_j = a_j + a_(j+1); moving it
+        down undoes that step from the top coefficient, a_j = b_j - a_(j+1).
+        Each unit of shift costs one pass over the coefficients.
         """
-        if new_center == self.center or self.is_zero:
+        if new_center == self.center or self.degree < 1:
             return BinomialPolynomial(new_center, self.coeffs)
-        work = [self.evaluate(new_center + i) for i in range(self.degree + 1)]
-        coeffs = []
-        while work:
-            coeffs.append(work[0])
-            work = [b - a for a, b in zip(work, work[1:])]
+        coeffs = list(self.coeffs)
+        if new_center > self.center:
+            for _ in range(new_center - self.center):
+                for j in range(self.degree):
+                    coeffs[j] += coeffs[j + 1]
+        else:
+            for _ in range(self.center - new_center):
+                for j in range(self.degree - 1, -1, -1):
+                    coeffs[j] -= coeffs[j + 1]
         return BinomialPolynomial(new_center, tuple(coeffs))
 
     def antidifference(self, anchor: int, value: int) -> "BinomialPolynomial":

@@ -9,12 +9,13 @@ always signals an implementation bug worth a reduced witness.
 """
 
 import functools
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from peakpoly.engine import count_via_formula, count_via_recursion, peak_polynomial
+from peakpoly.engine import _recursion_counts, count_via_formula, peak_polynomial
 from peakpoly.intpoly import BinomialPolynomial
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
@@ -94,13 +95,20 @@ def _require_admissible_nonempty(positions: Iterable[int]) -> PeakSet:
 
 def _positivity_violation(poly: BinomialPolynomial, m: int,
                           k_max: int) -> tuple[int, int] | None:
-    """First (j, k) with (D^j poly)(k) <= 0 over 1 <= j <= m-1, m <= k <= k_max."""
-    for j in range(1, m):
-        dj = poly.forward_difference(j)
-        for k in range(m, k_max + 1):
-            if dj.evaluate(k) <= 0:
-                return (j, k)
-    return None
+    """First (j, k) in (j, then k) order with (D^j poly)(k) <= 0 over
+    1 <= j <= m-1, m <= k <= k_max.
+
+    (D^j poly)(k) is coefficient j of poly re-centred at k (0 past the
+    trimmed tuple); a later centre can only improve on a smaller j.
+    """
+    witness = None
+    for k in range(m, k_max + 1):
+        poly = poly.recenter(k)
+        for j in range(1, m if witness is None else witness[0]):
+            if j >= len(poly.coeffs) or poly.coeffs[j] <= 0:
+                witness = (j, k)
+                break
+    return witness
 
 
 def verify_positivity(positions: Iterable[int], k_max: int) -> VerificationReport:
@@ -201,9 +209,9 @@ def verify_counts(positions: Iterable[int], n_max: int,
 
     witness = None
     rows = {}
-    for n in range(start, n_max + 1):
+    recursion_column = itertools.islice(_recursion_counts(s), start - 1, None)
+    for n, recursion in zip(range(start, n_max + 1), recursion_column):
         formula = count_via_formula(s, n)
-        recursion = count_via_recursion(s, n)
         brute = count_bruteforce(s, n, max_n) if n <= max_n else None
         rows[str(n)] = {
             "formula": str(formula),
@@ -295,8 +303,8 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     max(S) <= m_max.
 
     Reports keep the fixed (max, lexicographic) set order, so the merge is
-    deterministic however many workers run; workers each own a private
-    polynomial cache, which cannot change any result.
+    deterministic however many workers run; each worker builds its own
+    polynomial memo, which cannot change any result.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")

@@ -279,6 +279,13 @@ def test_exit_codes_via_subprocess():
     assert _run_module("nonsense").returncode == 1
 
 
+def test_recursion_count_at_large_n_via_subprocess():
+    recursion = _run_module("count", "--set", "4,6", "--n", "1000", "--method", "recursion")
+    formula = _run_module("count", "--set", "4,6", "--n", "1000", "--method", "formula")
+    assert recursion.returncode == formula.returncode == 0, recursion.stderr
+    assert recursion.stdout == formula.stdout
+
+
 def test_env_var_overrides_enumeration_cap():
     result = _run_module("enumerate", "--n", "4", "--group-by-peaks",
                          env_extra={"PEAKPOLY_ENUM_CAP": "3"})

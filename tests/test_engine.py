@@ -4,8 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from peakpoly.engine import (
-    PolynomialCache,
-    _recursive_count,
+    _polynomials,
     count_via_formula,
     count_via_recursion,
     derived_sets,
@@ -104,7 +103,10 @@ def test_count_via_recursion_examples():
             + count_bruteforce((), 3)) == 8
     for q in range(1, 9):
         assert count_via_recursion((), q) == 2 ** (q - 1)
+    assert count_via_recursion((), 1000) == 2 ** 999
     assert count_via_recursion((4, 6), 7) == 400
+    assert count_via_recursion((4, 6), 6) == 0  # max(S) >= n
+    assert count_via_recursion((2, 3), 12) == 0  # inadmissible at every length
 
 
 def test_triple_agreement_small():
@@ -190,51 +192,27 @@ def test_insertion_cases_output_is_sorted_and_validated():
         insertion_cases((2,), 11)
 
 
-def test_cache_modes_agree():
-    sets = structurally_admissible_sets(9)
-    shared = PolynomialCache()
-    private = [peak_polynomial(s, PolynomialCache()) for s in sets]
-    uncached = [peak_polynomial(s, None) for s in sets]
-    with_shared = [peak_polynomial(s, shared) for s in sets]
-    default = [peak_polynomial(s) for s in sets]
-    assert private == uncached == with_shared == default
-
-
 def test_cache_entries_have_canonical_shape():
-    cache = PolynomialCache()
-    peak_polynomial((3, 5, 8), cache)
-    assert (3, 5, 8) in cache
-    assert len(cache) > 1  # recursion filled in the smaller sets
     for s in ((3, 5, 8), (3, 5), (2,)):
-        entry = cache.get(s)
-        assert entry is not None
+        entry = peak_polynomial(s)
         assert entry.center == s[-1]
         assert entry.coeffs[0] == 0
 
 
-def test_cache_entry_cap_limits_growth_not_results():
-    capped = PolynomialCache(max_entries=2)
-    result = peak_polynomial((2, 4, 6), capped)
-    assert len(capped) == 2
-    assert result == peak_polynomial((2, 4, 6), None)
-    with pytest.raises(ValueError):
-        PolynomialCache(max_entries=-1)
-
-
 def test_cache_is_safe_under_concurrent_use():
     sets = structurally_admissible_sets(10)
-    shared = PolynomialCache()
-    expected = [peak_polynomial(s, None) for s in sets]
+    expected = [peak_polynomial(s) for s in sets]
+    _polynomials.clear()  # so the threads build the entries concurrently
     with ThreadPoolExecutor(max_workers=8) as pool:
         for _ in range(3):
-            results = list(pool.map(lambda s: peak_polynomial(s, shared), sets))
+            results = list(pool.map(peak_polynomial, sets))
             assert results == expected
 
 
-def test_recursion_memo_is_pure():
-    before = count_via_recursion((3, 6), 9)
-    _recursive_count.cache_clear()
-    assert count_via_recursion((3, 6), 9) == before
+def test_recursion_handles_large_n_from_a_cold_start():
+    # one bottom-up pass over the lengths: no recursion depth to run out of
+    for s in ((2,), (4, 6), (2, 5, 8, 10)):
+        assert count_via_recursion(s, 1000) == count_via_formula(s, 1000)
 
 
 def test_counts_match_for_larger_n_without_enumeration():

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from peakpoly.engine import peak_polynomial
 from peakpoly.intpoly import BinomialPolynomial
@@ -52,6 +54,40 @@ def test_positivity_witness_is_sound():
     assert witness == (1, 4)
     j, k = witness
     assert poison.forward_difference(j).evaluate(k) == -2
+
+    # positive at the centre, but the first difference 1 + 2*C(x-3,1) -
+    # C(x-3,2) falls to -1 at x = 7; the second difference hits 0 earlier,
+    # at x = 4, yet order 1 comes first in the scan
+    late = BinomialPolynomial(3, (0, 1, 1, -1))
+    assert all(c > 0 for c in late.coeffs[1:3])
+    assert _positivity_violation(late, 3, 8) == (1, 7)
+    assert late.forward_difference(1).evaluate(7) == -1
+    assert _positivity_violation(late, 3, 6) == (2, 4)
+
+    # degree 2 at m = 4: the third difference is identically zero, so the
+    # missing coefficient j = 3 is the witness
+    short = BinomialPolynomial(4, (0, 3, 2))
+    assert len(short.coeffs) < 4
+    assert _positivity_violation(short, 4, 9) == (3, 4)
+
+
+def _reference_positivity_violation(poly, m, k_max):
+    for j in range(1, m):
+        dj = poly.forward_difference(j)
+        for k in range(m, k_max + 1):
+            if dj.evaluate(k) <= 0:
+                return (j, k)
+    return None
+
+
+@given(st.integers(min_value=0, max_value=12),
+       st.lists(st.integers(min_value=-4, max_value=6), max_size=9),
+       st.integers(min_value=1, max_value=10),
+       st.integers(min_value=0, max_value=6))
+def test_positivity_violation_matches_evaluating_scan(center, coeffs, m, k_extra):
+    poly = BinomialPolynomial(center, tuple(coeffs))
+    assert (_positivity_violation(poly, m, m + k_extra)
+            == _reference_positivity_violation(poly, m, m + k_extra))
 
 
 def test_log_concavity_worked_example():
