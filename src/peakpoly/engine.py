@@ -20,9 +20,9 @@ route can cross-check the others.
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
-from peakpoly.intpoly import BinomialPolynomial
+from peakpoly.intpoly import BinomialPolynomial, _shift_center
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     InadmissibleSetError,
@@ -33,9 +33,6 @@ from peakpoly.perms import (
     is_admissible,
     structural_violation,
 )
-
-_CONSTANT_ONE = BinomialPolynomial(0, (1,))
-
 
 @dataclass(frozen=True)
 class DerivedPair:
@@ -90,40 +87,66 @@ def peak_polynomial(positions: Iterable[int]) -> BinomialPolynomial:
     """The peak polynomial of a structurally admissible (or empty) peak set.
 
     Returned centred at max(S) with constant coefficient 0; the empty set
-    gives the constant 1.  Results are memoized process-wide.
+    gives the constant 1.  Coefficients are memoized process-wide.
     """
     s = as_peak_set(positions)
-    if not s:
-        return _CONSTANT_ONE
     reason = structural_violation(s)
     if reason is not None:
         raise InadmissibleSetError(reason)
-    return _peak_polynomial(s)
+    return BinomialPolynomial(s[-1] if s else 0, _peak_coefficients(s))
 
 
-_polynomials: dict[PeakSet, BinomialPolynomial] = {}
+def _closure(s: PeakSet, known: Container) -> dict[PeakSet, list[tuple[int, PeakSet]]]:
+    """Each set in the closure of s under derived sets, skipping those in
+    known (and what only they derive), with its admissible derived sets
+    weighted as in the count recursion: 2 if lowered, 1 if omitted.
 
-
-def _peak_polynomial(s: PeakSet) -> BinomialPolynomial:
-    """peak_polynomial for a canonical, nonempty, admissible s.
-
-    p_S is its first difference, summed at centre m over the admissible
-    derived sets (each of degree <= m - 2), shifted right with p_S(m) = 0.
+    s must be canonical and admissible; the walk keeps an explicit stack.
     """
-    poly = _polynomials.get(s)
-    if poly is not None:
-        return poly
-    m = s[-1]
-    difference = [0] * (m - 1)
-    for _, lowered, lowered_admissible, omitted in _slides(s):
-        parts = (lowered, omitted) if lowered_admissible else (omitted,)
-        for part in parts:
-            derived = _peak_polynomial(part) if part else _CONSTANT_ONE
-            for j, c in enumerate(derived.recenter(m).coeffs):
-                difference[j] += c
-    poly = BinomialPolynomial(m, (0, *difference))
-    _polynomials[s] = poly
-    return poly
+    closure: dict[PeakSet, list[tuple[int, PeakSet]]] = {}
+    pending = [s]
+    while pending:
+        t = pending.pop()
+        if t in closure or t in known:
+            continue
+        closure[t] = []
+        for _, lowered, lowered_admissible, omitted in (_slides(t) if t else ()):
+            closure[t] += [(2, lowered), (1, omitted)] if lowered_admissible else [(1, omitted)]
+        pending += [u for _, u in closure[t]]
+    return closure
+
+
+# p_S at centre max(S), for every canonical, nonempty, admissible S built so far
+_coefficients: dict[PeakSet, tuple[int, ...]] = {}
+
+
+def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
+    """Coefficients of p_s at centre max(s), trimmed of trailing zeros (so
+    the degree check can see a short result), for a canonical, admissible
+    s; (1,) for the empty set.
+
+    p_S is its first difference, the sum at centre m of the admissible
+    derived sets' polynomials (each of degree <= m - 2), shifted right with
+    p_S(m) = 0.  Every derived set has a smaller maximum, so the sets not
+    built yet are built in increasing maximum, without Python recursion.
+    """
+    if not s:
+        return (1,)
+    if s in _coefficients:
+        return _coefficients[s]
+    closure = _closure(s, _coefficients)
+    for t in sorted(filter(None, closure), key=lambda t: t[-1]):
+        m = t[-1]
+        difference = [0] * (m - 1)
+        for _, part in closure[t]:
+            shifted = _shift_center(list(_peak_coefficients(part)),
+                                    m - (part[-1] if part else 0))
+            difference[:len(shifted)] = [a + b for a, b in zip(difference, shifted)]
+        coeffs = [0, *difference]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        _coefficients[t] = tuple(coeffs)
+    return _coefficients[s]
 
 
 def count_via_formula(positions: Iterable[int], n: int) -> int:
@@ -145,16 +168,7 @@ def _recursion_counts(s: PeakSet) -> Iterator[int]:
     """
     if s and structural_violation(s) is not None:
         yield from itertools.repeat(0)  # never returns
-    terms: dict[PeakSet, list[tuple[int, PeakSet]]] = {}
-    pending = [s]
-    while pending:
-        t = pending.pop()
-        if t in terms:
-            continue
-        terms[t] = [(2, t)]
-        for _, lowered, lowered_admissible, omitted in (_slides(t) if t else ()):
-            terms[t] += [(2, lowered), (1, omitted)] if lowered_admissible else [(1, omitted)]
-        pending += [u for _, u in terms[t][1:]]
+    terms = {t: [(2, t), *rule] for t, rule in _closure(s, {}).items()}
     counts = {t: 0 if t else 1 for t in terms}
     for q in itertools.count(2):
         yield counts[s]

@@ -52,6 +52,24 @@ def binomial_row(t: int, degree: int) -> list[int]:
     return row
 
 
+def _shift_center(coeffs: list[int], steps: int) -> list[int]:
+    """Re-expand, in place, coefficients at centre k as coefficients at
+    centre k + steps (steps may be negative); returns the same list.
+
+    C(x - k, j) = C(x - k - 1, j) + C(x - k - 1, j - 1), so moving the
+    centre up by one is the Pascal step b_j = a_j + a_(j+1); moving it
+    down undoes that step from the top coefficient, a_j = b_j - a_(j+1).
+    """
+    if len(coeffs) < 2:
+        return coeffs  # a constant reads the same at every centre
+    for _ in range(steps):
+        coeffs[:-1] = [a + b for a, b in zip(coeffs, coeffs[1:])]
+    for _ in range(-steps):
+        for j in range(len(coeffs) - 2, -1, -1):
+            coeffs[j] -= coeffs[j + 1]
+    return coeffs
+
+
 @dataclass(frozen=True, eq=False)
 class BinomialPolynomial:
     """Immutable integer-valued polynomial sum_j coeffs[j] * C(x - center, j).
@@ -111,24 +129,9 @@ class BinomialPolynomial:
         return BinomialPolynomial(self.center, self.coeffs[order:])
 
     def recenter(self, new_center: int) -> "BinomialPolynomial":
-        """The same polynomial re-expanded around new_center.
-
-        C(x - k, j) = C(x - k - 1, j) + C(x - k - 1, j - 1), so moving the
-        centre up by one is the Pascal step b_j = a_j + a_(j+1); moving it
-        down undoes that step from the top coefficient, a_j = b_j - a_(j+1).
-        Each unit of shift costs one pass over the coefficients.
-        """
-        if new_center == self.center or self.degree < 1:
-            return BinomialPolynomial(new_center, self.coeffs)
-        coeffs = list(self.coeffs)
-        if new_center > self.center:
-            for _ in range(new_center - self.center):
-                for j in range(self.degree):
-                    coeffs[j] += coeffs[j + 1]
-        else:
-            for _ in range(self.center - new_center):
-                for j in range(self.degree - 1, -1, -1):
-                    coeffs[j] -= coeffs[j + 1]
+        """The same polynomial re-expanded around new_center, one pass of
+        _shift_center over the coefficients per unit of shift."""
+        coeffs = _shift_center(list(self.coeffs), new_center - self.center)
         return BinomialPolynomial(new_center, tuple(coeffs))
 
     def antidifference(self, anchor: int, value: int) -> "BinomialPolynomial":

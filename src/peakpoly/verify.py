@@ -8,15 +8,13 @@ violation; none of the bundled checks is expected to fail, so a failure
 always signals an implementation bug worth a reduced witness.
 """
 
-import functools
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from peakpoly.engine import _recursion_counts, count_via_formula, peak_polynomial
-from peakpoly.intpoly import BinomialPolynomial
+from peakpoly.engine import _peak_coefficients, _recursion_counts, count_via_formula
+from peakpoly.intpoly import BinomialPolynomial, _shift_center
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -72,15 +70,10 @@ class VerificationReport:
         }
 
 
-def center_coefficients(poly: BinomialPolynomial, m: int) -> tuple[int, ...]:
-    """(D^j poly)(m) for j = 0..m.
-
-    For a peak polynomial this is the centre-m coefficient sequence padded
-    with the structural zero at j = m.
-    """
-    coeffs = list(poly.recenter(m).coeffs)
-    coeffs += [0] * (m + 1 - len(coeffs))
-    return tuple(coeffs[:m + 1])
+def _padded(coeffs: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Centre-m coefficients for j = 0..m: cut after j = m, or padded with
+    zeros (for a peak polynomial, the structural zero at j = m)."""
+    return coeffs[:m + 1] + (0,) * (m + 1 - len(coeffs))
 
 
 def _require_admissible_nonempty(positions: Iterable[int]) -> PeakSet:
@@ -93,19 +86,23 @@ def _require_admissible_nonempty(positions: Iterable[int]) -> PeakSet:
     return s
 
 
-def _positivity_violation(poly: BinomialPolynomial, m: int,
+def _positivity_violation(coeffs: tuple[int, ...], m: int,
                           k_max: int) -> tuple[int, int] | None:
-    """First (j, k) in (j, then k) order with (D^j poly)(k) <= 0 over
-    1 <= j <= m-1, m <= k <= k_max.
+    """First (j, k) in (j, then k) order with (D^j p)(k) <= 0 over
+    1 <= j <= m-1, m <= k <= k_max, for p given by its coefficients at
+    centre m.
 
-    (D^j poly)(k) is coefficient j of poly re-centred at k (0 past the
-    trimmed tuple); a later centre can only improve on a smaller j.
+    (D^j p)(k) is coefficient j at centre k (0 past the given ones), and
+    one Pascal step moves the centre from k to k + 1; a later centre can
+    only improve on a smaller j.
     """
+    coeffs = list(coeffs) + [0] * (m - len(coeffs))
     witness = None
     for k in range(m, k_max + 1):
-        poly = poly.recenter(k)
+        if k > m:
+            _shift_center(coeffs, 1)
         for j in range(1, m if witness is None else witness[0]):
-            if j >= len(poly.coeffs) or poly.coeffs[j] <= 0:
+            if coeffs[j] <= 0:
                 witness = (j, k)
                 break
     return witness
@@ -123,30 +120,29 @@ def verify_positivity(positions: Iterable[int], k_max: int) -> VerificationRepor
     m = s[-1]
     if k_max < m:
         raise ValueError(f"k_max must be >= max(S) = {m}, got {k_max}")
-    poly = peak_polynomial(s)
+    coeffs = _peak_coefficients(s)
 
-    witness = _positivity_violation(poly, m, k_max)
+    witness = _positivity_violation(coeffs, m, k_max)
 
-    order_m = poly.forward_difference(m)
     order_m_witness = None
-    if not order_m.is_zero:
+    if coeffs[m:]:
         # a nonzero polynomial of degree e cannot vanish at e+1 consecutive points
+        order_m = BinomialPolynomial(m, coeffs[m:])
         order_m_witness = next(
             (m, k) for k in range(m, m + order_m.degree + 2)
             if order_m.evaluate(k) != 0)
 
-    value_at_m = poly.evaluate(m)
-    degree_ok = poly.degree == m - 1
+    value_at_m = coeffs[0] if coeffs else 0
+    degree = len(coeffs) - 1
 
     checks = (
         CheckResult("positivity", witness is None, witness),
-        CheckResult("order-m-difference-zero", order_m.is_zero, order_m_witness),
+        CheckResult("order-m-difference-zero", not coeffs[m:], order_m_witness),
         CheckResult("zero-at-max", value_at_m == 0,
                      None if value_at_m == 0 else (0, m)),
-        CheckResult("degree", degree_ok, None if degree_ok else poly.degree),
+        CheckResult("degree", degree == m - 1, None if degree == m - 1 else degree),
     )
-    return VerificationReport(s, m, checks, center_coefficients(poly, m),
-                              {"k_max": k_max})
+    return VerificationReport(s, m, checks, _padded(coeffs, m), {"k_max": k_max})
 
 
 def _is_unimodal(seq: tuple[int, ...]) -> bool:
@@ -169,7 +165,7 @@ def verify_log_concavity(positions: Iterable[int]) -> VerificationReport:
     """
     s = _require_admissible_nonempty(positions)
     m = s[-1]
-    coeffs = center_coefficients(peak_polynomial(s), m)
+    coeffs = _padded(_peak_coefficients(s), m)
 
     witness = None
     ties = []
@@ -222,11 +218,8 @@ def verify_counts(positions: Iterable[int], n_max: int,
         if not ok and witness is None:
             witness = n
 
-    if s and structural_violation(s) is None:
-        coeffs = center_coefficients(peak_polynomial(s), m)
-    else:
-        coeffs = center_coefficients(BinomialPolynomial.zero() if s else
-                                     BinomialPolynomial.constant(1), m)
+    admissible = structural_violation(s) is None
+    coeffs = _padded(_peak_coefficients(s) if admissible else (), m)
     checks = (CheckResult("counts", witness is None, witness),)
     return VerificationReport(s, m, checks, coeffs, {"counts": rows})
 
@@ -292,19 +285,14 @@ class SweepSummary:
         }
 
 
-def _sweep_one(positions: PeakSet, checks: tuple[str, ...],
-               k_extra: int) -> VerificationReport:
-    return verify_set(positions, checks, k_extra=k_extra)
-
-
 def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
           workers: int = 1, k_extra: int = 5) -> SweepSummary:
     """Verify every structurally admissible nonempty peak set with
-    max(S) <= m_max.
+    max(S) <= m_max, in the fixed (max, lexicographic) set order.
 
-    Reports keep the fixed (max, lexicographic) set order, so the merge is
-    deterministic however many workers run; each worker builds its own
-    polynomial memo, which cannot change any result.
+    Every set runs in this process, whose memo builds each polynomial
+    once; workers is only checked to be >= 1 (worker processes each
+    rebuilt the memo, which cost more than they saved).
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -316,14 +304,8 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         raise ValueError(f"sweep checks must be a nonempty subset of {list(SWEEP_CHECKS)}")
 
     sets = structurally_admissible_sets(m_max)
-    run = functools.partial(_sweep_one, checks=names, k_extra=k_extra)
     start = time.perf_counter()
-    if workers == 1 or len(sets) < 2:
-        reports = [run(s) for s in sets]
-    else:
-        chunksize = max(1, len(sets) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run, sets, chunksize=chunksize))
+    reports = [verify_set(s, names, k_extra=k_extra) for s in sets]
     elapsed = time.perf_counter() - start
 
     failures = tuple(report for report in reports if not report.passed)

@@ -286,6 +286,22 @@ def test_recursion_count_at_large_n_via_subprocess():
     assert recursion.stdout == formula.stdout
 
 
+def test_deep_set_via_subprocess():
+    # a cold build over a down-closure 1199 sets deep
+    for command in ("poly", "verify"):
+        result = _run_module(command, "--set", "1200")
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_cli_import_leaves_out_process_pools():
+    code = ("import sys, peakpoly.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_env_var_overrides_enumeration_cap():
     result = _run_module("enumerate", "--n", "4", "--group-by-peaks",
                          env_extra={"PEAKPOLY_ENUM_CAP": "3"})

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from peakpoly.engine import (
-    _polynomials,
+    _coefficients,
     count_via_formula,
     count_via_recursion,
     derived_sets,
@@ -202,7 +202,7 @@ def test_cache_entries_have_canonical_shape():
 def test_cache_is_safe_under_concurrent_use():
     sets = structurally_admissible_sets(10)
     expected = [peak_polynomial(s) for s in sets]
-    _polynomials.clear()  # so the threads build the entries concurrently
+    _coefficients.clear()  # so the threads build the entries concurrently
     with ThreadPoolExecutor(max_workers=8) as pool:
         for _ in range(3):
             results = list(pool.map(peak_polynomial, sets))
@@ -213,6 +213,13 @@ def test_recursion_handles_large_n_from_a_cold_start():
     # one bottom-up pass over the lengths: no recursion depth to run out of
     for s in ((2,), (4, 6), (2, 5, 8, 10)):
         assert count_via_recursion(s, 1000) == count_via_formula(s, 1000)
+
+
+def test_deep_set_builds_without_recursion():
+    # the down-closure of {1200} is the chain {1199}, ..., {2}; the build
+    # walks it with an explicit stack, so its depth meets no recursion limit
+    assert peak_polynomial((1200,)).degree == 1199
+    assert count_via_formula((1200,), 1201) == count_via_recursion((1200,), 1201)
 
 
 def test_counts_match_for_larger_n_without_enumeration():

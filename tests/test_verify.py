@@ -1,4 +1,5 @@
 import json
+import multiprocessing.process
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,6 @@ from peakpoly.perms import InadmissibleSetError, structurally_admissible_sets
 from peakpoly.verify import (
     SweepSummary,
     _positivity_violation,
-    center_coefficients,
     sweep,
     verify_counts,
     verify_log_concavity,
@@ -50,7 +50,7 @@ def test_positivity_witness_is_sound():
     # its first difference is 5 - 7*C(x-3,1) + 2*C(x-3,2), which dips to -2
     # at x = 4, the first violation in (j, k) scan order
     poison = BinomialPolynomial(3, (0, 5, -7, 2))
-    witness = _positivity_violation(poison, 3, 8)
+    witness = _positivity_violation(poison.coeffs, 3, 8)
     assert witness == (1, 4)
     j, k = witness
     assert poison.forward_difference(j).evaluate(k) == -2
@@ -60,15 +60,31 @@ def test_positivity_witness_is_sound():
     # at x = 4, yet order 1 comes first in the scan
     late = BinomialPolynomial(3, (0, 1, 1, -1))
     assert all(c > 0 for c in late.coeffs[1:3])
-    assert _positivity_violation(late, 3, 8) == (1, 7)
+    assert _positivity_violation(late.coeffs, 3, 8) == (1, 7)
     assert late.forward_difference(1).evaluate(7) == -1
-    assert _positivity_violation(late, 3, 6) == (2, 4)
+    assert _positivity_violation(late.coeffs, 3, 6) == (2, 4)
 
     # degree 2 at m = 4: the third difference is identically zero, so the
     # missing coefficient j = 3 is the witness
     short = BinomialPolynomial(4, (0, 3, 2))
     assert len(short.coeffs) < 4
-    assert _positivity_violation(short, 4, 9) == (3, 4)
+    assert _positivity_violation(short.coeffs, 4, 9) == (3, 4)
+
+
+def test_structural_checks_report_witnesses(monkeypatch):
+    # a planted wrong coefficient tuple for {3}: p(3) = 1, degree 3 and a
+    # nonzero third difference, where a peak polynomial has 0, 2 and none
+    planted = (1, 2, 0, 5)
+    monkeypatch.setattr("peakpoly.verify._peak_coefficients", lambda s: planted)
+    report = verify_positivity((3,), 5)
+    witnesses = {c.name: c.witness for c in report.checks if not c.passed}
+    assert witnesses == {"positivity": (2, 3), "order-m-difference-zero": (3, 3),
+                         "zero-at-max": (0, 3), "degree": 3}
+    poly = BinomialPolynomial(3, planted)
+    assert poly.evaluate(3) == 1 and poly.degree == 3
+    assert poly.forward_difference(2).evaluate(3) == 0
+    assert poly.forward_difference(3).evaluate(3) == 5
+    assert report.coefficients == (1, 2, 0, 5)
 
 
 def _reference_positivity_violation(poly, m, k_max):
@@ -86,7 +102,7 @@ def _reference_positivity_violation(poly, m, k_max):
        st.integers(min_value=0, max_value=6))
 def test_positivity_violation_matches_evaluating_scan(center, coeffs, m, k_extra):
     poly = BinomialPolynomial(center, tuple(coeffs))
-    assert (_positivity_violation(poly, m, m + k_extra)
+    assert (_positivity_violation(poly.recenter(m).coeffs, m, m + k_extra)
             == _reference_positivity_violation(poly, m, m + k_extra))
 
 
@@ -172,9 +188,13 @@ def test_sweep_to_12_has_no_failures():
     assert summary.failures == ()
 
 
-def test_sweep_is_deterministic_across_worker_counts():
+def test_sweep_is_deterministic_across_worker_counts(monkeypatch):
+    def refuse(process):
+        raise AssertionError("the sweep started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     sequential = sweep(8, workers=1)
-    parallel = sweep(8, workers=3)
+    parallel = sweep(8, workers=4)
     for field in ("m_max", "checks", "sets_checked", "failures"):
         assert getattr(sequential, field) == getattr(parallel, field)
 
@@ -215,8 +235,10 @@ def test_report_json_shape():
     assert isinstance(summary, SweepSummary)
 
 
-def test_center_coefficients_pads_to_length_m_plus_one():
-    p = peak_polynomial((3, 5))
-    assert len(center_coefficients(p, 5)) == 6
-    assert center_coefficients(p, 5)[0] == 0
-    assert center_coefficients(p, 5)[-1] == 0
+def test_report_coefficients_pad_to_length_m_plus_one():
+    for report in (verify_positivity((3, 5), 5), verify_log_concavity((3, 5)),
+                   verify_counts((3, 5), 6)):
+        assert len(report.coefficients) == 6
+        assert report.coefficients[0] == 0
+        assert report.coefficients[-1] == 0
+        assert report.coefficients[:5] == peak_polynomial((3, 5)).coeffs
