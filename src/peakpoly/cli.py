@@ -23,6 +23,7 @@ from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     InadmissibleSetError,
+    as_peak_set,
     count_bruteforce,
     ensure_within_cap,
     enumerate_by_peak_set,
@@ -46,29 +47,17 @@ class _Parser(argparse.ArgumentParser):
 def _parse_set(text: str) -> tuple[int, ...]:
     """Comma-separated 1-based positions; '' means the empty set.
 
-    Duplicates and descending order are rejected rather than sorted, to
-    catch typos.
+    as_peak_set rejects duplicates and descending order rather than
+    sorting them, to catch typos.
     """
     if text.strip() == "":
         return ()
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise _UsageError(f"empty entry in peak set {text!r}")
-        try:
-            value = int(part)
-        except ValueError:
-            raise _UsageError(f"peak positions must be integers, got {part!r}") from None
-        if value < 1:
-            raise _UsageError(f"peak positions must be >= 1, got {value}")
-        values.append(value)
-    for a, b in zip(values, values[1:]):
-        if a == b:
-            raise _UsageError(f"duplicate peak position {a}")
-        if a > b:
-            raise _UsageError(f"peak positions must be increasing, got {a} before {b}")
-    return tuple(values)
+    try:
+        values = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise _UsageError(
+            f"peak positions must be comma-separated integers, got {text!r}") from None
+    return as_peak_set(values)
 
 
 def _parse_checks(text: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
@@ -126,13 +115,9 @@ def _print_csv(rows) -> None:
 
 def _cmd_poly(args) -> int:
     s = _parse_set(args.set)
-    poly = peak_polynomial(s)
-    center = args.center
-    if center is None:
-        center = s[-1] if s else 0
-    elif center < 0:
-        raise _UsageError("--center must be >= 0")
-    poly = poly.recenter(center)
+    poly = peak_polynomial(s)  # centred at max(S), the default
+    if args.center is not None:
+        poly = poly.recenter(args.center)
     if args.format == "json":
         print(json.dumps({"set": list(s), **poly.to_json_dict()}, indent=2))
     elif args.format == "csv":
@@ -151,10 +136,6 @@ def _cmd_table(args) -> int:
     jmax = args.jmax if args.jmax is not None else m
     kmin = args.kmin if args.kmin is not None else 0
     kmax = args.kmax if args.kmax is not None else m
-    if jmax < 0:
-        raise _UsageError("--jmax must be >= 0")
-    if kmin > kmax:
-        raise _UsageError("--kmin must be <= --kmax")
     table = poly.difference_table(jmax, kmin, kmax)
     if args.format == "json":
         print(json.dumps({"set": list(s), **table.to_json_dict()}, indent=2))
@@ -172,8 +153,6 @@ def _cmd_table(args) -> int:
 
 def _cmd_count(args) -> int:
     s = _parse_set(args.set)
-    if args.n < 1:
-        raise _UsageError("--n must be >= 1")
     cap = _resolve_cap(args)
 
     counts = {}
@@ -253,10 +232,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     checks = _parse_checks(args.checks, SWEEP_CHECKS)
-    if args.max_m < 2:
-        raise _UsageError("--max-m must be >= 2")
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
     summary = sweep(args.max_m, checks, workers=args.jobs)
 
     if args.report:
@@ -281,8 +256,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n < 1:
-        raise _UsageError("--n must be >= 1")
     cap = _resolve_cap(args)
 
     if args.group_by_peaks:
@@ -397,19 +370,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InadmissibleSetError as exc:
         print(f"error: inadmissible peak set: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, EnumerationCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,13 +25,13 @@ from typing import Container, Iterable, Iterator
 from peakpoly.intpoly import BinomialPolynomial, _shift_center
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
-    InadmissibleSetError,
     PeakSet,
     Permutation,
+    _admissible,
+    _violation,
     as_peak_set,
     group_permutations_by_peak_set,
     is_admissible,
-    structural_violation,
 )
 
 @dataclass(frozen=True)
@@ -74,12 +74,7 @@ def derived_sets(positions: Iterable[int]) -> tuple[DerivedPair, ...]:
     present the slide would collide two elements, and with 1 present the
     lowered set would need the impossible position 0.
     """
-    s = as_peak_set(positions)
-    if not s:
-        raise ValueError("derived sets are defined only for nonempty peak sets")
-    reason = structural_violation(s)
-    if reason is not None:
-        raise InadmissibleSetError(reason)
+    s = _admissible(positions, "derived sets are defined only for nonempty peak sets")
     return tuple(DerivedPair(*slide) for slide in _slides(s))
 
 
@@ -89,10 +84,7 @@ def peak_polynomial(positions: Iterable[int]) -> BinomialPolynomial:
     Returned centred at max(S) with constant coefficient 0; the empty set
     gives the constant 1.  Coefficients are memoized process-wide.
     """
-    s = as_peak_set(positions)
-    reason = structural_violation(s)
-    if reason is not None:
-        raise InadmissibleSetError(reason)
+    s = _admissible(positions)
     return BinomialPolynomial(s[-1] if s else 0, _peak_coefficients(s))
 
 
@@ -152,9 +144,7 @@ def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
 def count_via_formula(positions: Iterable[int], n: int) -> int:
     """p_S(n) * 2^(n - |S| - 1) when S is n-admissible, else 0."""
     s = as_peak_set(positions)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not is_admissible(s, n):
+    if not is_admissible(s, n):  # raises for n < 1
         return 0
     return peak_polynomial(s).evaluate(n) * 2 ** (n - len(s) - 1)
 
@@ -166,7 +156,7 @@ def _recursion_counts(s: PeakSet) -> Iterator[int]:
     2 count(lowered, q-1) + count(omitted, q-1) when max(t) < q, else 0,
     over the closure of s under derived sets, one length at a time.
     """
-    if s and structural_violation(s) is not None:
+    if _violation(s) is not None:
         yield from itertools.repeat(0)  # never returns
     terms = {t: [(2, t), *rule] for t, rule in _closure(s, {}).items()}
     counts = {t: 0 if t else 1 for t in terms}
@@ -212,12 +202,7 @@ def insertion_cases(positions: Iterable[int], q: int,
     of length-(q+1) permutations with peak set S; each list is sorted
     lexicographically so output is deterministic.
     """
-    s = as_peak_set(positions)
-    if not s:
-        raise ValueError("insertion cases are defined only for nonempty peak sets")
-    reason = structural_violation(s)
-    if reason is not None:
-        raise InadmissibleSetError(reason)
+    s = _admissible(positions, "insertion cases are defined only for nonempty peak sets")
     if q < s[-1]:
         raise ValueError(f"q must be at least max(S) = {s[-1]}, got {q}")
 

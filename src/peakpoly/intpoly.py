@@ -131,6 +131,8 @@ class BinomialPolynomial:
     def recenter(self, new_center: int) -> "BinomialPolynomial":
         """The same polynomial re-expanded around new_center, one pass of
         _shift_center over the coefficients per unit of shift."""
+        if new_center < 0:
+            raise ValueError(f"center must be an integer >= 0, got {new_center!r}")
         coeffs = _shift_center(list(self.coeffs), new_center - self.center)
         return BinomialPolynomial(new_center, tuple(coeffs))
 

@@ -71,6 +71,30 @@ def peak_set(perm: Iterable[int]) -> PeakSet:
     return tuple(i for i in range(2, len(p)) if p[i - 2] < p[i - 1] > p[i])
 
 
+def _violation(s: PeakSet) -> str | None:
+    """structural_violation for a canonical peak set."""
+    if s and s[0] == 1:
+        return "position 1 can never be a peak (it has no left neighbour)"
+    for a, b in zip(s, s[1:]):
+        if b == a + 1:
+            return f"adjacent positions {a} and {b} cannot both be peaks"
+    return None
+
+
+def _admissible(positions: Iterable[int], empty: str | None = None) -> PeakSet:
+    """positions as a canonical, structurally admissible peak set: the one
+    input check of every entry point that needs such a set.
+
+    Raises InadmissibleSetError with the structural reason, or with the
+    message empty for the empty set when one is given.
+    """
+    s = as_peak_set(positions)
+    reason = _violation(s) if s else empty
+    if reason is not None:
+        raise InadmissibleSetError(reason)
+    return s
+
+
 def structural_violation(positions: Iterable[int]) -> str | None:
     """Why no permutation of any length has this peak set, or None.
 
@@ -78,15 +102,7 @@ def structural_violation(positions: Iterable[int]) -> str | None:
     position 1 has no left neighbour, and adjacent positions cannot both
     be peaks.
     """
-    s = as_peak_set(positions)
-    if not s:
-        return None
-    if s[0] == 1:
-        return "position 1 can never be a peak (it has no left neighbour)"
-    for a, b in zip(s, s[1:]):
-        if b == a + 1:
-            return f"adjacent positions {a} and {b} cannot both be peaks"
-    return None
+    return _violation(as_peak_set(positions))
 
 
 def is_structurally_admissible(positions: Iterable[int]) -> bool:
@@ -104,9 +120,7 @@ def is_admissible(positions: Iterable[int], n: int) -> bool:
     if n < 1:
         raise ValueError("n must be >= 1")
     s = as_peak_set(positions)
-    if not s:
-        return True
-    return is_structurally_admissible(s) and s[-1] <= n - 1
+    return _violation(s) is None and (not s or s[-1] <= n - 1)
 
 
 def ensure_within_cap(n: int, max_n: int = DEFAULT_ENUMERATION_CAP) -> None:
@@ -120,13 +134,23 @@ def ensure_within_cap(n: int, max_n: int = DEFAULT_ENUMERATION_CAP) -> None:
         )
 
 
-@lru_cache(maxsize=8)
-def _peak_set_counts(n: int) -> dict[PeakSet, int]:
+def _scan(n: int, groups: dict[PeakSet, list[Permutation]] | None = None) -> dict:
+    """One lexicographic scan of S_n: the number of permutations with each
+    peak set that occurs or, given groups, groups with each permutation
+    appended to the list of its peak set where that is a key."""
     counts: dict[PeakSet, int] = {}
     for perm in itertools.permutations(range(1, n + 1)):
         key = tuple([i for i in range(2, n) if perm[i - 2] < perm[i - 1] > perm[i]])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+        if groups is None:
+            counts[key] = counts.get(key, 0) + 1
+        elif key in groups:
+            groups[key].append(perm)
+    return counts if groups is None else groups
+
+
+@lru_cache(maxsize=8)
+def _peak_set_counts(n: int) -> dict[PeakSet, int]:
+    return _scan(n)
 
 
 def enumerate_by_peak_set(n: int, max_n: int = DEFAULT_ENUMERATION_CAP) -> dict[PeakSet, int]:
@@ -155,14 +179,9 @@ def group_permutations_by_peak_set(n: int, wanted: Iterable[Iterable[int]],
 
     Every wanted key maps to a list (possibly empty) in lexicographic order.
     """
-    keys = {as_peak_set(w) for w in wanted}
+    groups: dict[PeakSet, list[Permutation]] = {as_peak_set(w): [] for w in wanted}
     ensure_within_cap(n, max_n)
-    groups: dict[PeakSet, list[Permutation]] = {k: [] for k in keys}
-    for perm in itertools.permutations(range(1, n + 1)):
-        key = tuple([i for i in range(2, n) if perm[i - 2] < perm[i - 1] > perm[i]])
-        if key in groups:
-            groups[key].append(perm)
-    return groups
+    return _scan(n, groups)
 
 
 def permutations_with_peak_set(positions: Iterable[int], n: int,

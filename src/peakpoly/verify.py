@@ -6,6 +6,11 @@ j = 0..m with m = max(S), plus one record per named check.  A failed check
 records a witness that can be re-evaluated standalone to reproduce the
 violation; none of the bundled checks is expected to fail, so a failure
 always signals an implementation bug worth a reduced witness.
+
+The public functions validate their input once; one private function then
+runs the selected checks on the canonical set, reading its coefficients
+once and building one report.  The sweep calls that function directly,
+because its sets are canonical and admissible by construction.
 """
 
 import itertools
@@ -18,16 +23,19 @@ from peakpoly.intpoly import BinomialPolynomial, _shift_center
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
-    InadmissibleSetError,
     PeakSet,
+    _admissible,
+    _violation,
     as_peak_set,
     count_bruteforce,
-    structural_violation,
     structurally_admissible_sets,
 )
 
 SWEEP_CHECKS = ("positivity", "logconcavity")
 ALL_CHECKS = ("positivity", "logconcavity", "counts")
+
+# why the polynomial checks refuse the empty set
+_EMPTY = "the empty peak set has no maximum to verify at"
 
 
 @dataclass(frozen=True)
@@ -76,16 +84,6 @@ def _padded(coeffs: tuple[int, ...], m: int) -> tuple[int, ...]:
     return coeffs[:m + 1] + (0,) * (m + 1 - len(coeffs))
 
 
-def _require_admissible_nonempty(positions: Iterable[int]) -> PeakSet:
-    s = as_peak_set(positions)
-    if not s:
-        raise InadmissibleSetError("the empty peak set has no maximum to verify at")
-    reason = structural_violation(s)
-    if reason is not None:
-        raise InadmissibleSetError(reason)
-    return s
-
-
 def _positivity_violation(coeffs: tuple[int, ...], m: int,
                           k_max: int) -> tuple[int, int] | None:
     """First (j, k) in (j, then k) order with (D^j p)(k) <= 0 over
@@ -108,6 +106,86 @@ def _positivity_violation(coeffs: tuple[int, ...], m: int,
     return witness
 
 
+def _is_unimodal(seq: tuple[int, ...]) -> bool:
+    i = 0
+    while i + 1 < len(seq) and seq[i] <= seq[i + 1]:
+        i += 1
+    while i + 1 < len(seq) and seq[i] >= seq[i + 1]:
+        i += 1
+    return i + 1 >= len(seq)
+
+
+def _verify(s: PeakSet, names: tuple[str, ...], k_max: int = 0, n_max: int = 0,
+            max_n: int = DEFAULT_ENUMERATION_CAP, admissible: bool = True,
+            ) -> VerificationReport:
+    """Run the named checks on the canonical set s, in the given order
+    (duplicates included), into one report.
+
+    s must be nonempty and admissible when a check other than counts is
+    named; for an inadmissible s (counts only) the report's coefficients
+    are zeros.  Positivity runs through centre k_max, counts through length
+    n_max.  Nothing here validates s: the public callers do that once.
+    """
+    m = s[-1] if s else 0
+    raw = _peak_coefficients(s) if admissible else ()
+    coeffs = _padded(raw, m)
+    checks: list[CheckResult] = []
+    notes: dict = {}
+    for name in names:
+        if name == "positivity":
+            if k_max < m:
+                raise ValueError(f"k_max must be >= max(S) = {m}, got {k_max}")
+            witness = _positivity_violation(raw, m, k_max)
+            order_m_witness = None
+            if raw[m:]:
+                # a nonzero polynomial of degree e cannot vanish at e+1 consecutive points
+                order_m = BinomialPolynomial(m, raw[m:])
+                order_m_witness = next(
+                    (m, k) for k in range(m, m + order_m.degree + 2)
+                    if order_m.evaluate(k) != 0)
+            degree = len(raw) - 1
+            checks += (
+                CheckResult("positivity", witness is None, witness),
+                CheckResult("order-m-difference-zero", not raw[m:], order_m_witness),
+                CheckResult("zero-at-max", coeffs[0] == 0,
+                             None if coeffs[0] == 0 else (0, m)),
+                CheckResult("degree", degree == m - 1, None if degree == m - 1 else degree),
+            )
+            notes["k_max"] = k_max
+        elif name == "logconcavity":
+            witness = None
+            ties = []
+            for j in range(2, m - 1):
+                lhs = coeffs[j] ** 2
+                rhs = coeffs[j - 1] * coeffs[j + 1]
+                if lhs < rhs:
+                    if witness is None:
+                        witness = j
+                elif lhs == rhs:
+                    ties.append(j)
+            checks.append(CheckResult("logconcavity", witness is None, witness))
+            notes["unimodal"] = _is_unimodal(coeffs[1:m])
+            notes["log_concavity_ties"] = ties
+        else:
+            witness = None
+            rows = {}
+            recursion_column = itertools.islice(_recursion_counts(s), m, None)
+            for n, recursion in zip(range(m + 1, n_max + 1), recursion_column):
+                formula = count_via_formula(s, n)
+                brute = count_bruteforce(s, n, max_n) if n <= max_n else None
+                rows[str(n)] = {
+                    "formula": str(formula),
+                    "recursion": str(recursion),
+                    "bruteforce": None if brute is None else str(brute),
+                }
+                ok = formula == recursion and (brute is None or brute == formula)
+                if not ok and witness is None:
+                    witness = n
+            checks.append(CheckResult("counts", witness is None, witness))
+            notes["counts"] = rows
+    return VerificationReport(s, m, tuple(checks), coeffs, notes)
+
+
 def verify_positivity(positions: Iterable[int], k_max: int) -> VerificationReport:
     """Strict positivity of the interior difference coefficients, plus the
     structural facts that pin the polynomial down.
@@ -116,42 +194,7 @@ def verify_positivity(positions: Iterable[int], k_max: int) -> VerificationRepor
     m <= k <= k_max; the m-th difference is identically zero; p_S(m) = 0;
     and deg p_S = m - 1.
     """
-    s = _require_admissible_nonempty(positions)
-    m = s[-1]
-    if k_max < m:
-        raise ValueError(f"k_max must be >= max(S) = {m}, got {k_max}")
-    coeffs = _peak_coefficients(s)
-
-    witness = _positivity_violation(coeffs, m, k_max)
-
-    order_m_witness = None
-    if coeffs[m:]:
-        # a nonzero polynomial of degree e cannot vanish at e+1 consecutive points
-        order_m = BinomialPolynomial(m, coeffs[m:])
-        order_m_witness = next(
-            (m, k) for k in range(m, m + order_m.degree + 2)
-            if order_m.evaluate(k) != 0)
-
-    value_at_m = coeffs[0] if coeffs else 0
-    degree = len(coeffs) - 1
-
-    checks = (
-        CheckResult("positivity", witness is None, witness),
-        CheckResult("order-m-difference-zero", not coeffs[m:], order_m_witness),
-        CheckResult("zero-at-max", value_at_m == 0,
-                     None if value_at_m == 0 else (0, m)),
-        CheckResult("degree", degree == m - 1, None if degree == m - 1 else degree),
-    )
-    return VerificationReport(s, m, checks, _padded(coeffs, m), {"k_max": k_max})
-
-
-def _is_unimodal(seq: tuple[int, ...]) -> bool:
-    i = 0
-    while i + 1 < len(seq) and seq[i] <= seq[i + 1]:
-        i += 1
-    while i + 1 < len(seq) and seq[i] >= seq[i + 1]:
-        i += 1
-    return i + 1 >= len(seq)
+    return _verify(_admissible(positions, _EMPTY), ("positivity",), k_max)
 
 
 def verify_log_concavity(positions: Iterable[int]) -> VerificationReport:
@@ -163,27 +206,7 @@ def verify_log_concavity(positions: Iterable[int]) -> VerificationReport:
     counterexamples for, not an assumption.  Indices where the
     log-concavity inequality is tight are reported as well.
     """
-    s = _require_admissible_nonempty(positions)
-    m = s[-1]
-    coeffs = _padded(_peak_coefficients(s), m)
-
-    witness = None
-    ties = []
-    for j in range(2, m - 1):
-        lhs = coeffs[j] ** 2
-        rhs = coeffs[j - 1] * coeffs[j + 1]
-        if lhs < rhs:
-            if witness is None:
-                witness = j
-        elif lhs == rhs:
-            ties.append(j)
-
-    notes = {
-        "unimodal": _is_unimodal(coeffs[1:m]),
-        "log_concavity_ties": ties,
-    }
-    checks = (CheckResult("logconcavity", witness is None, witness),)
-    return VerificationReport(s, m, checks, coeffs, notes)
+    return _verify(_admissible(positions, _EMPTY), ("logconcavity",))
 
 
 def verify_counts(positions: Iterable[int], n_max: int,
@@ -197,31 +220,11 @@ def verify_counts(positions: Iterable[int], n_max: int,
     out-of-cap n_max raises instead of silently dropping the third route.
     """
     s = as_peak_set(positions)
-    m = s[-1] if s else 0
-    start = m + 1 if s else 1
     if require_bruteforce and n_max > max_n:
         raise EnumerationCapError(
             f"brute-force cross-check demanded up to n={n_max} but the cap is {max_n}")
-
-    witness = None
-    rows = {}
-    recursion_column = itertools.islice(_recursion_counts(s), start - 1, None)
-    for n, recursion in zip(range(start, n_max + 1), recursion_column):
-        formula = count_via_formula(s, n)
-        brute = count_bruteforce(s, n, max_n) if n <= max_n else None
-        rows[str(n)] = {
-            "formula": str(formula),
-            "recursion": str(recursion),
-            "bruteforce": None if brute is None else str(brute),
-        }
-        ok = formula == recursion and (brute is None or brute == formula)
-        if not ok and witness is None:
-            witness = n
-
-    admissible = structural_violation(s) is None
-    coeffs = _padded(_peak_coefficients(s) if admissible else (), m)
-    checks = (CheckResult("counts", witness is None, witness),)
-    return VerificationReport(s, m, checks, coeffs, {"counts": rows})
+    return _verify(s, ("counts",), n_max=n_max, max_n=max_n,
+                   admissible=_violation(s) is None)
 
 
 def verify_set(positions: Iterable[int],
@@ -242,23 +245,15 @@ def verify_set(positions: Iterable[int],
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {list(ALL_CHECKS)}")
 
-    s = as_peak_set(positions)
+    if set(names) == {"counts"}:  # the only check that takes any set
+        s = as_peak_set(positions)
+        admissible = _violation(s) is None
+    else:
+        s, admissible = _admissible(positions, _EMPTY), True
     m = s[-1] if s else 0
-    reports = []
-    for name in names:
-        if name == "positivity":
-            reports.append(verify_positivity(s, m + k_extra))
-        elif name == "logconcavity":
-            reports.append(verify_log_concavity(s))
-        else:
-            stop = n_max if n_max is not None else max(m + 1, min(m + 3, max_n))
-            reports.append(verify_counts(s, stop, max_n=max_n))
-
-    merged = tuple(check for report in reports for check in report.checks)
-    notes: dict = {}
-    for report in reports:
-        notes.update(report.notes)
-    return VerificationReport(s, m, merged, reports[0].coefficients, notes)
+    if n_max is None:
+        n_max = max(m + 1, min(m + 3, max_n))
+    return _verify(s, names, m + k_extra, n_max, max_n, admissible)
 
 
 @dataclass(frozen=True)
@@ -292,7 +287,8 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
 
     Every set runs in this process, whose memo builds each polynomial
     once; workers is only checked to be >= 1 (worker processes each
-    rebuilt the memo, which cost more than they saved).
+    rebuilt the memo, which cost more than they saved).  The sets are
+    canonical and admissible by construction, so none is validated.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -305,7 +301,7 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
 
     sets = structurally_admissible_sets(m_max)
     start = time.perf_counter()
-    reports = [verify_set(s, names, k_extra=k_extra) for s in sets]
+    reports = [_verify(s, names, s[-1] + k_extra) for s in sets]
     elapsed = time.perf_counter() - start
 
     failures = tuple(report for report in reports if not report.passed)

@@ -112,6 +112,19 @@ def test_recenter_examples():
         assert one.recenter(center).coeffs == (1,)
 
 
+def test_recenter_rejects_a_negative_center_before_shifting(monkeypatch):
+    # a shift of 10^6 Pascal passes would run for about a second before
+    # the constructor saw the negative centre
+    def refuse(coeffs, steps):
+        raise AssertionError("recenter shifted before checking the centre")
+
+    monkeypatch.setattr("peakpoly.intpoly._shift_center", refuse)
+    with pytest.raises(ValueError):
+        P46.recenter(-10**6)
+    with pytest.raises(ValueError):
+        P46.recenter(-1)
+
+
 def test_antidifference_examples():
     assert P2.forward_difference().antidifference(2, 0) == P2
     seven = BinomialPolynomial.zero(4).antidifference(4, 7)

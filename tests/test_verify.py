@@ -199,6 +199,23 @@ def test_sweep_is_deterministic_across_worker_counts(monkeypatch):
         assert getattr(sequential, field) == getattr(parallel, field)
 
 
+def test_sweep_validates_no_set(monkeypatch):
+    # the sweep's sets are canonical and admissible by construction, so a
+    # sweep that calls a set validator does work the boundary already did
+    unpatched = sweep(8)
+
+    def refuse(*args):
+        raise AssertionError("the sweep validated a set")
+
+    for module in ("perms", "engine", "verify"):
+        for name in ("as_peak_set", "_admissible", "_violation"):
+            monkeypatch.setattr(f"peakpoly.{module}.{name}", refuse)
+    monkeypatch.setattr("peakpoly.engine._coefficients", {})  # rebuild under the patch
+    patched = sweep(8)
+    for field in ("m_max", "checks", "sets_checked", "failures"):
+        assert getattr(patched, field) == getattr(unpatched, field)
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep(1)
