@@ -5,9 +5,14 @@ An interior index i (1-based, 2 <= i <= n-1) is a peak when the entry
 there exceeds both neighbours.  Peak sets are canonical tuples of
 strictly increasing positions; the empty tuple is a valid peak set.
 
-The exhaustive enumeration in this module is the ground-truth oracle for
-everything else in the package.  It scans all n! permutations, so it
-refuses to run above a configurable cap instead of grinding for hours.
+The exact count of S_n by peak set in this module is the ground-truth
+oracle for everything else in the package.  It covers all n! permutations
+without visiting each one: every permutation is exactly one head (its first
+n // 3 entries) followed by one tail pattern (the relative order of the
+rest), and each peak depends only on the head, on the tail pattern, or on
+the few values where the two meet (see _peak_set_counts).  Listing the
+permutations themselves still visits all n! of them.  Both refuse to run
+above a configurable cap instead of grinding for hours.
 """
 
 import itertools
@@ -134,31 +139,57 @@ def ensure_within_cap(n: int, max_n: int = DEFAULT_ENUMERATION_CAP) -> None:
         )
 
 
-def _scan(n: int, groups: dict[PeakSet, list[Permutation]] | None = None) -> dict:
-    """One lexicographic scan of S_n: the number of permutations with each
-    peak set that occurs or, given groups, groups with each permutation
-    appended to the list of its peak set where that is a key."""
-    counts: dict[PeakSet, int] = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        key = tuple([i for i in range(2, n) if perm[i - 2] < perm[i - 1] > perm[i]])
-        if groups is None:
-            counts[key] = counts.get(key, 0) + 1
-        elif key in groups:
-            groups[key].append(perm)
-    return counts if groups is None else groups
-
-
 @lru_cache(maxsize=8)
 def _peak_set_counts(n: int) -> dict[PeakSet, int]:
-    return _scan(n)
+    """Exact peak-set counts of S_n, keyed in (max position, positions) order.
+
+    Every permutation is one head pi_1..pi_h (h = n // 3) followed by a tail
+    whose relative order is one permutation of range(n - h).  Peaks before h
+    lie in the head and peaks after h + 1 lie in the tail pattern; the peak
+    at h reads the head's last two values and the tail's first, and the peak
+    at h + 1 reads the head's last value, the tail's first and whether the
+    tail falls after it.  So S_(n-h) is scanned once into a table of tail
+    patterns, and each head is matched against every table row, taking the
+    tail's first value from the sorted values the head leaves.
+    """
+    h = n // 3
+    t = n - h
+    # (rank of the tail's first value, whether the tail falls after it)
+    #   -> peaks inside the tail, at their positions in S_n -> tail patterns
+    tails: dict[tuple[int, bool], dict[PeakSet, int]] = {}
+    for tail in itertools.permutations(range(t)):
+        inner = tuple([h + i for i in range(2, t) if tail[i - 2] < tail[i - 1] > tail[i]])
+        row = tails.setdefault((tail[0], t > 1 and tail[0] > tail[1]), {})
+        row[inner] = row.get(inner, 0) + 1
+    # (peaks at positions <= h + 1, tail row) -> number of heads
+    heads: dict[tuple[PeakSet, tuple[int, bool]], int] = {}
+    values = range(1, n + 1)
+    for head in itertools.permutations(values, h):
+        rest = sorted(set(values).difference(head))
+        peaks = tuple([i for i in range(2, h) if head[i - 2] < head[i - 1] > head[i]])
+        for row in tails:
+            rank, falls = row
+            first = rest[rank]
+            key = peaks
+            if h >= 2 and head[-2] < head[-1] > first:
+                key += (h,)
+            if h >= 1 and head[-1] < first and falls:
+                key += (h + 1,)
+            heads[key, row] = heads.get((key, row), 0) + 1
+    counts: dict[PeakSet, int] = {}
+    for (key, row), times in heads.items():
+        for inner, tally in tails[row].items():
+            counts[key + inner] = counts.get(key + inner, 0) + times * tally
+    return {s: counts[s] for s in sorted(counts, key=lambda s: (s[-1] if s else 0, s))}
 
 
 def enumerate_by_peak_set(n: int, max_n: int = DEFAULT_ENUMERATION_CAP) -> dict[PeakSet, int]:
     """Group all of S_n by peak set: peak set -> number of permutations.
 
-    Values sum to n!; only peak sets that actually occur appear as keys.
-    Permutations are visited in lexicographic order, so the grouping is
-    deterministic.
+    Values sum to n!; only peak sets that actually occur appear as keys, in
+    (max position, positions) order.  The count is exact over all of S_n
+    without visiting each permutation: it pairs every head of n // 3
+    entries with every relative order of the remaining tail.
     """
     ensure_within_cap(n, max_n)
     return dict(_peak_set_counts(n))
@@ -166,7 +197,8 @@ def enumerate_by_peak_set(n: int, max_n: int = DEFAULT_ENUMERATION_CAP) -> dict[
 
 def count_bruteforce(positions: Iterable[int], n: int,
                      max_n: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """|{pi in S_n : peak_set(pi) == positions}| by exhaustive scan."""
+    """|{pi in S_n : peak_set(pi) == positions}|, read from the exact count
+    of all of S_n by peak set (see enumerate_by_peak_set)."""
     s = as_peak_set(positions)
     ensure_within_cap(n, max_n)
     return _peak_set_counts(n).get(s, 0)
@@ -181,7 +213,11 @@ def group_permutations_by_peak_set(n: int, wanted: Iterable[Iterable[int]],
     """
     groups: dict[PeakSet, list[Permutation]] = {as_peak_set(w): [] for w in wanted}
     ensure_within_cap(n, max_n)
-    return _scan(n, groups)
+    for perm in itertools.permutations(range(1, n + 1)):
+        key = tuple([i for i in range(2, n) if perm[i - 2] < perm[i - 1] > perm[i]])
+        if key in groups:
+            groups[key].append(perm)
+    return groups
 
 
 def permutations_with_peak_set(positions: Iterable[int], n: int,

@@ -6,6 +6,7 @@ import sys
 from peakpoly.cli import main
 from peakpoly.engine import count_via_formula
 from peakpoly.intpoly import BinomialPolynomial
+from peakpoly.verify import verify_counts
 
 GOLDEN_TABLE_CSV = """\
 j\\k,0,1,2,3,4,5,6
@@ -148,6 +149,33 @@ def test_count_disagreement_exits_3(capsys, monkeypatch):
     assert code == 3
     assert "MISMATCH" in out
     assert "disagree" in err
+
+
+def test_counts_check_catches_an_off_by_one_oracle(capsys, monkeypatch):
+    # break the S_n oracle for one set at one length and check that every
+    # consumer of it names that length and exits 3
+    import peakpoly.perms as perms
+    exact = perms._peak_set_counts
+
+    def off_by_one(n):
+        counts = dict(exact(n))
+        if n == 9:
+            counts[(4, 6)] += 1
+        return counts
+
+    monkeypatch.setattr(perms, "_peak_set_counts", off_by_one)
+    report = verify_counts((4, 6), 10)
+    assert not report.passed
+    assert report.checks[0].name == "counts" and report.checks[0].witness == 9
+
+    code, out, _ = run_cli(capsys, "verify", "--set", "4,6", "--checks", "counts",
+                           "--n-max", "10")
+    assert code == 3
+    assert "counts: FAIL (witness=9)" in out
+
+    code, _, err = run_cli(capsys, "count", "--set", "4,6", "--n", "9", "--method", "all")
+    assert code == 3
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
 
 
 def test_poly_json_round_trips_into_formula_count(capsys):

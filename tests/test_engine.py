@@ -118,6 +118,15 @@ def test_triple_agreement_small():
             assert count_via_recursion(s, n) == expected
 
 
+@pytest.mark.parametrize("n", (9, 10))
+def test_triple_agreement_at_oracle_limit(n):
+    counts = enumerate_by_peak_set(n)
+    candidates = [()] + structurally_admissible_sets(n - 1)
+    for s in candidates:
+        assert count_via_formula(s, n) == count_via_recursion(s, n) == counts.get(s, 0), s
+    assert set(counts) <= set(candidates)
+
+
 def test_first_difference_identity_as_polynomials():
     # the first difference of each peak polynomial equals the sum of its
     # derived-set polynomials, coefficient for coefficient

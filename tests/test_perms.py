@@ -69,6 +69,17 @@ def test_enumerate_counts_sum_to_factorial(n):
     assert all(v > 0 for v in counts.values())
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_count_matches_listing_scan(n):
+    # the head x tail-pattern count against the scan that visits every
+    # permutation; n = 1..9 covers head lengths 0, 1, 2 and 3
+    groups = group_permutations_by_peak_set(n, [()] + structurally_admissible_sets(n - 1))
+    listed = {s: len(perms) for s, perms in groups.items() if perms}
+    counts = enumerate_by_peak_set(n)
+    assert counts == listed
+    assert sum(counts.values()) == math.factorial(n)
+
+
 def test_enumerate_keys_are_admissible_sets():
     for n in range(1, 8):
         for key in enumerate_by_peak_set(n):
