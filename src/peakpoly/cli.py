@@ -260,21 +260,20 @@ def _cmd_enumerate(args) -> int:
 
     if args.group_by_peaks:
         counts = enumerate_by_peak_set(args.n, cap)
-        ordered = sorted(counts, key=lambda s: (s[-1] if s else 0, s))
         if args.format == "json":
             payload = {
                 "n": args.n,
                 "total": str(math.factorial(args.n)),
-                "groups": [{"set": list(s), "count": str(counts[s])} for s in ordered],
+                "groups": [{"set": list(s), "count": str(c)} for s, c in counts.items()],
             }
             print(json.dumps(payload, indent=2))
         elif args.format == "csv":
             rows = [("peak_set", "count")]
-            rows += [(",".join(str(v) for v in s), str(counts[s])) for s in ordered]
+            rows += [(",".join(str(v) for v in s), str(c)) for s, c in counts.items()]
             _print_csv(rows)
         else:
-            for s in ordered:
-                print(f"{_format_set(s)}: {counts[s]}")
+            for s, c in counts.items():
+                print(f"{_format_set(s)}: {c}")
         return 0
 
     ensure_within_cap(args.n, cap)

@@ -119,8 +119,10 @@ def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
 
     p_S is its first difference, the sum at centre m of the admissible
     derived sets' polynomials (each of degree <= m - 2), shifted right with
-    p_S(m) = 0.  Every derived set has a smaller maximum, so the sets not
-    built yet are built in increasing maximum, without Python recursion.
+    p_S(m) = 0.  All derived sets of t = u + (m,) but u (listed last) have
+    maximum m - 1: they are summed at m - 1 with u shifted there, and the
+    sum is shifted to m once.  Sets not built yet are built in increasing
+    maximum (every derived set's is smaller), without Python recursion.
     """
     if not s:
         return (1,)
@@ -128,13 +130,11 @@ def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
         return _coefficients[s]
     closure = _closure(s, _coefficients)
     for t in sorted(filter(None, closure), key=lambda t: t[-1]):
-        m = t[-1]
-        difference = [0] * (m - 1)
-        for _, part in closure[t]:
-            shifted = _shift_center(list(_peak_coefficients(part)),
-                                    m - (part[-1] if part else 0))
-            difference[:len(shifted)] = [a + b for a, b in zip(difference, shifted)]
-        coeffs = [0, *difference]
+        m, u = t[-1], t[:-1]
+        shifted_u = _shift_center(list(_peak_coefficients(u)), m - 1 - (u[-1] if u else 0))
+        parts = [_peak_coefficients(part) for _, part in closure[t][:-1]]
+        difference = list(map(sum, itertools.zip_longest(shifted_u, *parts, fillvalue=0)))
+        coeffs = [0, *_shift_center(difference, 1)]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         _coefficients[t] = tuple(coeffs)

@@ -11,9 +11,9 @@ values and 0 <= t < j gives 0.
 
 This basis is what makes the whole package exact.  The forward difference
 (Df)(x) = f(x+1) - f(x) is a plain left shift of the coefficient sequence,
-its inverse is a right shift, and moving the centre by one is the Pascal
-step b_j = a_j + a_(j+1), so nothing ever leaves arbitrary-precision
-integers.  Coefficient j at centre k is (D^j f)(k).
+its inverse is a right shift, and moving the centre by s is the Vandermonde
+convolution b_j = sum_i C(s, i) * a_(j+i), so nothing ever leaves
+arbitrary-precision integers.  Coefficient j at centre k is (D^j f)(k).
 """
 
 import csv
@@ -56,17 +56,14 @@ def _shift_center(coeffs: list[int], steps: int) -> list[int]:
     """Re-expand, in place, coefficients at centre k as coefficients at
     centre k + steps (steps may be negative); returns the same list.
 
-    C(x - k, j) = C(x - k - 1, j) + C(x - k - 1, j - 1), so moving the
-    centre up by one is the Pascal step b_j = a_j + a_(j+1); moving it
-    down undoes that step from the top coefficient, a_j = b_j - a_(j+1).
+    C(x - k, j) = sum_i C(steps, i) * C(x - k - steps, j - i) (Vandermonde),
+    so b_j = sum_i C(steps, i) * a_(j+i): O(d * min(d, |steps| + 1)) for
+    degree d, as the row of C(steps, i) stops at i = steps when steps >= 0.
     """
-    if len(coeffs) < 2:
-        return coeffs  # a constant reads the same at every centre
-    for _ in range(steps):
-        coeffs[:-1] = [a + b for a, b in zip(coeffs, coeffs[1:])]
-    for _ in range(-steps):
-        for j in range(len(coeffs) - 2, -1, -1):
-            coeffs[j] -= coeffs[j + 1]
+    d = len(coeffs) - 1
+    row = binomial_row(steps, d if steps < 0 else min(steps, d))
+    terms = [[c * a for a in coeffs[i:]] for i, c in enumerate(row)]
+    coeffs[:] = map(sum, itertools.zip_longest(*terms, fillvalue=0))
     return coeffs
 
 
@@ -129,8 +126,8 @@ class BinomialPolynomial:
         return BinomialPolynomial(self.center, self.coeffs[order:])
 
     def recenter(self, new_center: int) -> "BinomialPolynomial":
-        """The same polynomial re-expanded around new_center, one pass of
-        _shift_center over the coefficients per unit of shift."""
+        """The same polynomial re-expanded around new_center by one
+        _shift_center convolution, O(d^2) for degree d at any distance."""
         if new_center < 0:
             raise ValueError(f"center must be an integer >= 0, got {new_center!r}")
         coeffs = _shift_center(list(self.coeffs), new_center - self.center)

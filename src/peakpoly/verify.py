@@ -90,9 +90,11 @@ def _positivity_violation(coeffs: tuple[int, ...], m: int,
     1 <= j <= m-1, m <= k <= k_max, for p given by its coefficients at
     centre m.
 
-    (D^j p)(k) is coefficient j at centre k (0 past the given ones), and
-    one Pascal step moves the centre from k to k + 1; a later centre can
-    only improve on a smaller j.
+    (D^j p)(k) is coefficient j at centre k (0 past the given ones); one
+    Pascal step moves the centre to k + 1, and a later centre can only
+    improve on a smaller j.  Once c_1..c_(m-1) > 0 and no c_(>=m) < 0, each
+    later centre only adds nonnegative terms, so the scan stops: a peak
+    polynomial (degree m - 1) is decided at centre m, with no shift.
     """
     coeffs = list(coeffs) + [0] * (m - len(coeffs))
     witness = None
@@ -103,6 +105,8 @@ def _positivity_violation(coeffs: tuple[int, ...], m: int,
             if coeffs[j] <= 0:
                 witness = (j, k)
                 break
+        if witness is None and min(coeffs[m:], default=0) >= 0:
+            break
     return witness
 
 
@@ -301,8 +305,7 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
 
     sets = structurally_admissible_sets(m_max)
     start = time.perf_counter()
-    reports = [_verify(s, names, s[-1] + k_extra) for s in sets]
-    elapsed = time.perf_counter() - start
-
+    reports = (_verify(s, names, s[-1] + k_extra) for s in sets)
     failures = tuple(report for report in reports if not report.passed)
+    elapsed = time.perf_counter() - start
     return SweepSummary(m_max, names, len(sets), failures, elapsed)

@@ -178,6 +178,27 @@ def test_counts_check_catches_an_off_by_one_oracle(capsys, monkeypatch):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
 
 
+def test_log_concavity_check_catches_a_planted_dip(capsys, monkeypatch):
+    # plant c_3 = 1 in p_{4,6} (really 43): c_3^2 = 1 < c_2 * c_4 = 50 * 18,
+    # while every coefficient stays positive
+    import peakpoly.verify as verify
+    exact = verify._peak_coefficients
+    planted = (0, 25, 50, 1, 18, 3)
+    monkeypatch.setattr(verify, "_peak_coefficients",
+                        lambda s: planted if s == (4, 6) else exact(s))
+    report = verify.verify_log_concavity((4, 6))
+    assert [(c.name, c.witness) for c in report.checks] == [("logconcavity", 3)]
+
+    code, out, _ = run_cli(capsys, "verify", "--set", "4,6", "--checks", "logconcavity")
+    assert code == 3
+    assert "logconcavity: FAIL (witness=3)" in out
+
+    assert [r.positions for r in verify.sweep(8).failures] == [(4, 6)]
+    code, out, _ = run_cli(capsys, "sweep", "--max-m", "8")
+    assert code == 3
+    assert "FAIL {4,6}: logconcavity" in out
+
+
 def test_poly_json_round_trips_into_formula_count(capsys):
     for set_arg, n in (("4,6", 9), ("2", 7), ("3,5,8", 11)):
         code, out, _ = run_cli(capsys, "poly", "--set", set_arg, "--format", "json")

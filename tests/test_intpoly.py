@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peakpoly.engine import peak_polynomial
 from peakpoly.intpoly import (
     BinomialPolynomial,
     DifferenceTable,
+    _shift_center,
     binomial,
     binomial_row,
     sum_polynomials,
@@ -39,6 +41,18 @@ def fraction_value(poly, x):
             falling *= x - poly.center - i
         total += Fraction(c) * falling / math.factorial(j)
     return total
+
+
+def pascal_shift(coeffs, steps):
+    """Reference re-centring, one unit at a time: up by one is the Pascal
+    step b_j = a_j + a_(j+1), down by one undoes it from the top."""
+    coeffs = list(coeffs)
+    for _ in range(steps):
+        coeffs[:-1] = [a + b for a, b in zip(coeffs, coeffs[1:])]
+    for _ in range(-steps):
+        for j in range(len(coeffs) - 2, -1, -1):
+            coeffs[j] -= coeffs[j + 1]
+    return coeffs
 
 
 coefficient_lists = st.lists(
@@ -112,9 +126,28 @@ def test_recenter_examples():
         assert one.recenter(center).coeffs == (1,)
 
 
+@given(coefficient_lists, st.integers(min_value=-40, max_value=40))
+def test_shift_kernel_matches_unit_pascal_steps(coeffs, steps):
+    shifted = list(coeffs)
+    assert _shift_center(shifted, steps) is shifted
+    assert shifted == pascal_shift(coeffs, steps)
+
+
+@given(coefficient_lists, st.integers(min_value=-10**9, max_value=10**9))
+def test_shift_kernel_round_trip_at_any_distance(coeffs, steps):
+    assert _shift_center(_shift_center(list(coeffs), steps), -steps) == coeffs
+
+
+def test_far_recenter_of_a_peak_polynomial():
+    p = peak_polynomial(range(2, 21, 2))
+    far = p.recenter(10**6)
+    for x in (0, 1, 20, 21, 37, 999_999, 10**6, 10**6 + 3, 2 * 10**6):
+        assert far.evaluate(x) == p.evaluate(x)
+    assert far.recenter(20).coeffs == p.coeffs
+
+
 def test_recenter_rejects_a_negative_center_before_shifting(monkeypatch):
-    # a shift of 10^6 Pascal passes would run for about a second before
-    # the constructor saw the negative centre
+    # the centre is checked before any coefficient is moved
     def refuse(coeffs, steps):
         raise AssertionError("recenter shifted before checking the centre")
 

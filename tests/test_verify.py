@@ -87,6 +87,17 @@ def test_structural_checks_report_witnesses(monkeypatch):
     assert report.coefficients == (1, 2, 0, 5)
 
 
+def test_positivity_of_peak_polynomials_needs_no_shift(monkeypatch):
+    # c_1..c_(m-1) > 0 at centre m with nothing above degree m - 1 settles
+    # every later centre, so the scan never moves the centre
+    def refuse(coeffs, steps):
+        raise AssertionError("the positivity scan shifted a peak polynomial")
+
+    monkeypatch.setattr("peakpoly.verify._shift_center", refuse)
+    assert verify_positivity((4, 6), 100).passed
+    assert sweep(10).failures == ()
+
+
 def _reference_positivity_violation(poly, m, k_max):
     for j in range(1, m):
         dj = poly.forward_difference(j)
