@@ -21,6 +21,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable
 
 
@@ -39,16 +40,15 @@ def binomial(t: int, j: int) -> int:
 
 
 def binomial_row(t: int, degree: int) -> list[int]:
-    """[C(t, 0), ..., C(t, degree)] by the falling-factorial recurrence.
+    """[C(t, 0), ..., C(t, degree)] by the falling-factorial recurrence
+    C(t, j) = C(t, j - 1) * (t - j + 1) / j.
 
     Each division is exact because every prefix is itself a binomial
-    coefficient; this is asserted rather than assumed.
+    coefficient, so floor division loses nothing, for negative t too.
     """
     row = [1]
     for j in range(1, degree + 1):
-        q, r = divmod(row[-1] * (t - j + 1), j)
-        assert r == 0, (t, j)
-        row.append(q)
+        row.append(row[-1] * (t - j + 1) // j)
     return row
 
 
@@ -59,11 +59,14 @@ def _shift_center(coeffs: list[int], steps: int) -> list[int]:
     C(x - k, j) = sum_i C(steps, i) * C(x - k - steps, j - i) (Vandermonde),
     so b_j = sum_i C(steps, i) * a_(j+i): O(d * min(d, |steps| + 1)) for
     degree d, as the row of C(steps, i) stops at i = steps when steps >= 0.
+    Each term i > 0 is added in place over the first d + 1 - i entries,
+    reading the untouched input a.
     """
     d = len(coeffs) - 1
     row = binomial_row(steps, d if steps < 0 else min(steps, d))
-    terms = [[c * a for a in coeffs[i:]] for i, c in enumerate(row)]
-    coeffs[:] = map(sum, itertools.zip_longest(*terms, fillvalue=0))
+    original = coeffs[:]
+    for i in range(1, len(row)):
+        coeffs[:d + 1 - i] = map(add, coeffs, map(row[i].__mul__, original[i:]))
     return coeffs
 
 

@@ -9,8 +9,9 @@ always signals an implementation bug worth a reduced witness.
 
 The public functions validate their input once; one private function then
 runs the selected checks on the canonical set, reading its coefficients
-once and building one report.  The sweep calls that function directly,
-because its sets are canonical and admissible by construction.
+once and building one report.  The sweep builds each set's entry in the
+engine's memo and then calls that function directly, because its sets are
+canonical and admissible by construction.
 """
 
 import itertools
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from peakpoly.engine import _peak_coefficients, _recursion_counts, count_via_formula
+from peakpoly.engine import _build, _peak_coefficients, _recursion_counts
 from peakpoly.intpoly import BinomialPolynomial, _shift_center
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
@@ -27,7 +28,7 @@ from peakpoly.perms import (
     _admissible,
     _violation,
     as_peak_set,
-    count_bruteforce,
+    enumerate_by_peak_set,
     structurally_admissible_sets,
 )
 
@@ -173,10 +174,13 @@ def _verify(s: PeakSet, names: tuple[str, ...], k_max: int = 0, n_max: int = 0,
         else:
             witness = None
             rows = {}
+            # every n here is >= m + 1, so an admissible s is n-admissible,
+            # and raw = () gives the formula count 0 for an inadmissible one
+            formula_poly = BinomialPolynomial(m, raw)
             recursion_column = itertools.islice(_recursion_counts(s), m, None)
             for n, recursion in zip(range(m + 1, n_max + 1), recursion_column):
-                formula = count_via_formula(s, n)
-                brute = count_bruteforce(s, n, max_n) if n <= max_n else None
+                formula = formula_poly.evaluate(n) * 2 ** (n - len(s) - 1)
+                brute = enumerate_by_peak_set(n, max_n).get(s, 0) if n <= max_n else None
                 rows[str(n)] = {
                     "formula": str(formula),
                     "recursion": str(recursion),
@@ -292,7 +296,10 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     Every set runs in this process, whose memo builds each polynomial
     once; workers is only checked to be >= 1 (worker processes each
     rebuilt the memo, which cost more than they saved).  The sets are
-    canonical and admissible by construction, so none is validated.
+    canonical and admissible by construction, so none is validated.  Each
+    set's derived sets have smaller maxima and so come earlier in this
+    order: each set is built from their memo entries just before its
+    checks, with no down-closure walk.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -305,7 +312,11 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
 
     sets = structurally_admissible_sets(m_max)
     start = time.perf_counter()
-    reports = (_verify(s, names, s[-1] + k_extra) for s in sets)
-    failures = tuple(report for report in reports if not report.passed)
+    failures = []
+    for s in sets:
+        _build(s)
+        report = _verify(s, names, s[-1] + k_extra)
+        if not report.passed:
+            failures.append(report)
     elapsed = time.perf_counter() - start
-    return SweepSummary(m_max, names, len(sets), failures, elapsed)
+    return SweepSummary(m_max, names, len(sets), tuple(failures), elapsed)

@@ -168,6 +168,29 @@ def test_counts_beyond_cap_drops_bruteforce_leg():
         verify_counts((2,), 12, require_bruteforce=True)
 
 
+def test_counts_check_validates_once(monkeypatch):
+    # the formula leg evaluates the coefficients the report already read, and
+    # the brute leg reads the S_n counts, so only verify_counts validates
+    import peakpoly.perms as perms
+    original = perms.as_peak_set
+    calls = []
+
+    def counting(positions):
+        calls.append(positions)
+        return original(positions)
+
+    for module in ("perms", "engine", "verify"):
+        monkeypatch.setattr(f"peakpoly.{module}.as_peak_set", counting)
+    assert verify_counts((4, 6), 30).passed
+    assert calls == [(4, 6)]
+
+    # an inadmissible set has no coefficients, so every route counts 0
+    rows = verify_counts((3, 4), 10).notes["counts"]
+    assert list(rows) == [str(n) for n in range(5, 11)]
+    assert all(row == {"formula": "0", "recursion": "0", "bruteforce": "0"}
+               for row in rows.values())
+
+
 def test_verify_set_merges_checks():
     report = verify_set((4, 6), ("positivity", "logconcavity", "counts"))
     assert report.passed
@@ -225,6 +248,46 @@ def test_sweep_validates_no_set(monkeypatch):
     patched = sweep(8)
     for field in ("m_max", "checks", "sets_checked", "failures"):
         assert getattr(patched, field) == getattr(unpatched, field)
+
+
+def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
+    # every derived set has a smaller maximum, so the sweep's own (max, lex)
+    # order builds each set from entries already made, two shifts per set
+    import peakpoly.engine as engine
+    unpatched = sweep(12)
+
+    def refuse(*args):
+        raise AssertionError("the sweep walked a down-closure")
+
+    shift = engine._shift_center
+    shifts = []
+
+    def counting(coeffs, steps):
+        shifts.append(steps)
+        return shift(coeffs, steps)
+
+    monkeypatch.setattr(engine, "_closure", refuse)
+    monkeypatch.setattr(engine, "_shift_center", counting)
+    monkeypatch.setattr(engine, "_coefficients", {})
+    patched = sweep(12)
+    for field in ("m_max", "checks", "sets_checked", "failures"):
+        assert getattr(patched, field) == getattr(unpatched, field)
+    assert len(shifts) == 2 * patched.sets_checked
+
+
+def test_sweep_memo_equals_the_closure_build(monkeypatch):
+    import peakpoly.engine as engine
+    sets = structurally_admissible_sets(14)
+    assert len(sets) == 609
+    monkeypatch.setattr(engine, "_coefficients", {})
+    sweep(14)
+    swept = engine._coefficients
+    # largest first, so each peak_polynomial call walks a down-closure
+    monkeypatch.setattr(engine, "_coefficients", {})
+    for s in reversed(sets):
+        peak_polynomial(s)
+    assert engine._coefficients == swept
+    assert list(swept) == sets
 
 
 def test_sweep_validation():
