@@ -67,6 +67,18 @@ def _slides(s: PeakSet) -> list[tuple[int, PeakSet, bool, PeakSet]]:
     return out
 
 
+def _parts(t: PeakSet) -> list[tuple[int, PeakSet]]:
+    """The admissible derived sets of a canonical, nonempty, admissible t,
+    weighted as in the count recursion (2 if lowered, 1 if omitted); the
+    last is t[:-1], omitted at the last pivot."""
+    parts = []
+    for _, lowered, lowered_admissible, omitted in _slides(t):
+        if lowered_admissible:
+            parts.append((2, lowered))
+        parts.append((1, omitted))
+    return parts
+
+
 def derived_sets(positions: Iterable[int]) -> tuple[DerivedPair, ...]:
     """All |S| derived (lowered, omitted) pairs of a peak set, in position order.
 
@@ -90,8 +102,7 @@ def peak_polynomial(positions: Iterable[int]) -> BinomialPolynomial:
 
 def _closure(s: PeakSet, known: Container) -> dict[PeakSet, list[tuple[int, PeakSet]]]:
     """Each set in the closure of s under derived sets, skipping those in
-    known (and what only they derive), with its admissible derived sets
-    weighted as in the count recursion: 2 if lowered, 1 if omitted.
+    known (and what only they derive), with its _parts.
 
     s must be canonical and admissible; the walk keeps an explicit stack.
     """
@@ -101,9 +112,7 @@ def _closure(s: PeakSet, known: Container) -> dict[PeakSet, list[tuple[int, Peak
         t = pending.pop()
         if t in closure or t in known:
             continue
-        closure[t] = []
-        for _, lowered, lowered_admissible, omitted in (_slides(t) if t else ()):
-            closure[t] += [(2, lowered), (1, omitted)] if lowered_admissible else [(1, omitted)]
+        closure[t] = _parts(t) if t else []
         pending += [u for _, u in closure[t]]
     return closure
 
@@ -144,9 +153,7 @@ def _build(t: PeakSet) -> None:
         return
     m, u = t[-1], t[:-1]
     shifted_u = _shift_center(list(_peak_coefficients(u)), m - 1 - (u[-1] if u else 0))
-    parts = [part for _, lowered, lowered_admissible, omitted in _slides(t)
-             for part in ((lowered, omitted) if lowered_admissible else (omitted,))]
-    others = map(_coefficients.__getitem__, parts[:-1])  # the last part is u
+    others = [_coefficients[part] for _, part in _parts(t)[:-1]]  # the last part is u
     difference = list(map(sum, itertools.zip_longest(shifted_u, *others, fillvalue=0)))
     coeffs = [0, *_shift_center(difference, 1)]
     while coeffs and coeffs[-1] == 0:
@@ -223,37 +230,23 @@ def insertion_cases(positions: Iterable[int], q: int,
     if q < s[-1]:
         raise ValueError(f"q must be at least max(S) = {s[-1]}, got {q}")
 
-    pairs = derived_sets(s)
-    wanted = {s}
-    wanted.update(pair.lowered for pair in pairs)
-    wanted.update(pair.omitted for pair in pairs)
+    slides = _slides(s)
+    wanted = {s}.union(*((lowered, omitted) for _, lowered, _, omitted in slides))
     groups = group_permutations_by_peak_set(q, wanted, max_n=max_n)
 
     def insert(perm: Permutation, index0: int) -> Permutation:
         return perm[:index0] + (q + 1,) + perm[index0:]
 
-    base = groups[s]
-    case1 = [perm + (q + 1,) for perm in base]
-    case2 = [insert(perm, s[-1] - 1) for perm in base]
-    case3: list[Permutation] = []
-    case41: list[Permutation] = []
-    case42: list[Permutation] = []
-    case5: list[Permutation] = []
-    for idx, pair in enumerate(pairs):
-        for perm in groups[pair.lowered]:
-            case3.append(insert(perm, pair.pivot - 1))
+    cases: dict[str, list[Permutation]] = {label: [] for label in INSERTION_CASE_LABELS}
+    cases["1"] += [perm + (q + 1,) for perm in groups[s]]
+    cases["2"] += [insert(perm, s[-1] - 1) for perm in groups[s]]
+    for idx, (pivot, lowered, _, omitted) in enumerate(slides):
+        for perm in groups[lowered]:
+            cases["3"].append(insert(perm, pivot - 1))
             if idx == 0:
-                case42.append((q + 1,) + perm)
+                cases["4.2"].append((q + 1,) + perm)
             else:
-                case41.append(insert(perm, s[idx - 1] - 1))
-        for perm in groups[pair.omitted]:
-            case5.append(insert(perm, pair.pivot - 1))
-
-    return {
-        "1": sorted(case1),
-        "2": sorted(case2),
-        "3": sorted(case3),
-        "4.1": sorted(case41),
-        "4.2": sorted(case42),
-        "5": sorted(case5),
-    }
+                cases["4.1"].append(insert(perm, s[idx - 1] - 1))
+        for perm in groups[omitted]:
+            cases["5"].append(insert(perm, pivot - 1))
+    return {label: sorted(perms) for label, perms in cases.items()}

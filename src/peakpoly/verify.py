@@ -7,11 +7,14 @@ records a witness that can be re-evaluated standalone to reproduce the
 violation; none of the bundled checks is expected to fail, so a failure
 always signals an implementation bug worth a reduced witness.
 
-The public functions validate their input once; one private function then
-runs the selected checks on the canonical set, reading its coefficients
-once and building one report.  The sweep builds each set's entry in the
-engine's memo and then calls that function directly, because its sets are
-canonical and admissible by construction.
+The public functions validate their input once (the check names before
+the set; verify_counts is verify_set with counts alone); one private
+function then runs the selected checks on the canonical set, reading its
+coefficients once.  Each check yields only its witness, None when it
+holds, and every verdict is read off the witness as the one report is
+built.  The sweep builds each set's entry in the engine's memo and then
+calls that function directly, because its sets are canonical and
+admissible by construction.
 """
 
 import itertools
@@ -120,6 +123,18 @@ def _is_unimodal(seq: tuple[int, ...]) -> bool:
     return i + 1 >= len(seq)
 
 
+def _check_names(checks: Iterable[str], allowed: tuple[str, ...]) -> tuple[str, ...]:
+    """checks as a tuple of names, after the one test of a check selection:
+    it must be nonempty and name only checks in allowed."""
+    names = tuple(checks)
+    if not names:
+        raise ValueError("no checks selected")
+    for name in names:
+        if name not in allowed:
+            raise ValueError(f"unknown check {name!r}; available: {', '.join(allowed)}")
+    return names
+
+
 def _verify(s: PeakSet, names: tuple[str, ...], k_max: int = 0, n_max: int = 0,
             max_n: int = DEFAULT_ENUMERATION_CAP, admissible: bool = True,
             ) -> VerificationReport:
@@ -134,13 +149,12 @@ def _verify(s: PeakSet, names: tuple[str, ...], k_max: int = 0, n_max: int = 0,
     m = s[-1] if s else 0
     raw = _peak_coefficients(s) if admissible else ()
     coeffs = _padded(raw, m)
-    checks: list[CheckResult] = []
+    witnesses: list[tuple[str, object]] = []  # (check name, witness or None)
     notes: dict = {}
     for name in names:
         if name == "positivity":
             if k_max < m:
                 raise ValueError(f"k_max must be >= max(S) = {m}, got {k_max}")
-            witness = _positivity_violation(raw, m, k_max)
             order_m_witness = None
             if raw[m:]:
                 # a nonzero polynomial of degree e cannot vanish at e+1 consecutive points
@@ -149,12 +163,11 @@ def _verify(s: PeakSet, names: tuple[str, ...], k_max: int = 0, n_max: int = 0,
                     (m, k) for k in range(m, m + order_m.degree + 2)
                     if order_m.evaluate(k) != 0)
             degree = len(raw) - 1
-            checks += (
-                CheckResult("positivity", witness is None, witness),
-                CheckResult("order-m-difference-zero", not raw[m:], order_m_witness),
-                CheckResult("zero-at-max", coeffs[0] == 0,
-                             None if coeffs[0] == 0 else (0, m)),
-                CheckResult("degree", degree == m - 1, None if degree == m - 1 else degree),
+            witnesses += (
+                ("positivity", _positivity_violation(raw, m, k_max)),
+                ("order-m-difference-zero", order_m_witness),
+                ("zero-at-max", (0, m) if coeffs[0] else None),
+                ("degree", None if degree == m - 1 else degree),
             )
             notes["k_max"] = k_max
         elif name == "logconcavity":
@@ -168,7 +181,7 @@ def _verify(s: PeakSet, names: tuple[str, ...], k_max: int = 0, n_max: int = 0,
                         witness = j
                 elif lhs == rhs:
                     ties.append(j)
-            checks.append(CheckResult("logconcavity", witness is None, witness))
+            witnesses.append(("logconcavity", witness))
             notes["unimodal"] = _is_unimodal(coeffs[1:m])
             notes["log_concavity_ties"] = ties
         else:
@@ -189,9 +202,10 @@ def _verify(s: PeakSet, names: tuple[str, ...], k_max: int = 0, n_max: int = 0,
                 ok = formula == recursion and (brute is None or brute == formula)
                 if not ok and witness is None:
                     witness = n
-            checks.append(CheckResult("counts", witness is None, witness))
+            witnesses.append(("counts", witness))
             notes["counts"] = rows
-    return VerificationReport(s, m, tuple(checks), coeffs, notes)
+    checks = tuple(CheckResult(name, witness is None, witness) for name, witness in witnesses)
+    return VerificationReport(s, m, checks, coeffs, notes)
 
 
 def verify_positivity(positions: Iterable[int], k_max: int) -> VerificationReport:
@@ -227,12 +241,10 @@ def verify_counts(positions: Iterable[int], n_max: int,
     enumeration cap, unless require_bruteforce insists, in which case an
     out-of-cap n_max raises instead of silently dropping the third route.
     """
-    s = as_peak_set(positions)
     if require_bruteforce and n_max > max_n:
         raise EnumerationCapError(
             f"brute-force cross-check demanded up to n={n_max} but the cap is {max_n}")
-    return _verify(s, ("counts",), n_max=n_max, max_n=max_n,
-                   admissible=_violation(s) is None)
+    return verify_set(positions, ("counts",), n_max=n_max, max_n=max_n)
 
 
 def verify_set(positions: Iterable[int],
@@ -246,13 +258,7 @@ def verify_set(positions: Iterable[int],
     positivity runs with k_max = max(S) + k_extra; counts runs through
     n_max (default: a few lengths above max(S), within the cap).
     """
-    names = tuple(checks)
-    if not names:
-        raise ValueError("no checks selected")
-    unknown = [name for name in names if name not in ALL_CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks {unknown}; available: {list(ALL_CHECKS)}")
-
+    names = _check_names(checks, ALL_CHECKS)
     if set(names) == {"counts"}:  # the only check that takes any set
         s = as_peak_set(positions)
         admissible = _violation(s) is None
@@ -305,10 +311,7 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         raise ValueError("m_max must be >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    names = tuple(checks)
-    unknown = [name for name in names if name not in SWEEP_CHECKS]
-    if not names or unknown:
-        raise ValueError(f"sweep checks must be a nonempty subset of {list(SWEEP_CHECKS)}")
+    names = _check_names(checks, SWEEP_CHECKS)
 
     sets = structurally_admissible_sets(m_max)
     start = time.perf_counter()

@@ -237,6 +237,9 @@ def test_verify_unknown_check_exits_1(capsys):
     code, _, err = run_cli(capsys, "verify", "--set", "2", "--checks", "magic")
     assert code == 1
     assert "unknown check" in err
+    code, _, err = run_cli(capsys, "verify", "--set", "2", "--checks", ",")
+    assert code == 1
+    assert err.splitlines() == ["error: no checks selected"]
 
 
 def test_verify_k_max_flag(capsys):
@@ -280,6 +283,9 @@ def test_sweep_rejects_counts_check(capsys):
     code, _, err = run_cli(capsys, "sweep", "--max-m", "5", "--checks", "counts")
     assert code == 1
     assert "unknown check" in err
+    code, _, err = run_cli(capsys, "sweep", "--max-m", "5", "--checks", ",")
+    assert code == 1
+    assert err.splitlines() == ["error: no checks selected"]
 
 
 def test_enumerate_grouped_text(capsys):

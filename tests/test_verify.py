@@ -9,6 +9,7 @@ from peakpoly.engine import peak_polynomial
 from peakpoly.intpoly import BinomialPolynomial
 from peakpoly.perms import InadmissibleSetError, structurally_admissible_sets
 from peakpoly.verify import (
+    ALL_CHECKS,
     SweepSummary,
     _positivity_violation,
     sweep,
@@ -85,6 +86,31 @@ def test_structural_checks_report_witnesses(monkeypatch):
     assert poly.forward_difference(2).evaluate(3) == 0
     assert poly.forward_difference(3).evaluate(3) == 5
     assert report.coefficients == (1, 2, 0, 5)
+
+
+def _verdicts_match_witnesses(report):
+    return all(check.passed == (check.witness is None) for check in report.checks)
+
+
+def test_verdicts_come_from_witnesses(monkeypatch):
+    import peakpoly.verify as verify
+    original, reports = verify._verify, []
+
+    def recording(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "_verify", recording)
+    summary = sweep(10)
+    assert len(reports) == summary.sets_checked
+    assert all(_verdicts_match_witnesses(report) for report in reports)
+
+    # the planted tuple of test_structural_checks_report_witnesses fails four
+    # checks (counts too: its formula leg disagrees) and passes logconcavity
+    monkeypatch.setattr(verify, "_peak_coefficients", lambda s: (1, 2, 0, 5))
+    report = verify_set((3,), ALL_CHECKS)
+    assert _verdicts_match_witnesses(report)
+    assert [c.name for c in report.checks if c.passed] == ["logconcavity"]
 
 
 def test_positivity_of_peak_polynomials_needs_no_shift(monkeypatch):
@@ -191,6 +217,11 @@ def test_counts_check_validates_once(monkeypatch):
                for row in rows.values())
 
 
+def test_verify_counts_is_verify_set_with_counts():
+    for s in ((), (4, 6), (3, 4)):
+        assert verify_counts(s, 9) == verify_set(s, ("counts",), n_max=9)
+
+
 def test_verify_set_merges_checks():
     report = verify_set((4, 6), ("positivity", "logconcavity", "counts"))
     assert report.passed
@@ -198,9 +229,10 @@ def test_verify_set_merges_checks():
     assert names == ["positivity", "order-m-difference-zero", "zero-at-max",
                      "degree", "logconcavity", "counts"]
     assert "unimodal" in report.notes and "counts" in report.notes
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown check 'mystery'; available: "
+                                         "positivity, logconcavity, counts$"):
         verify_set((4, 6), ("positivity", "mystery"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no checks selected$"):
         verify_set((4, 6), ())
 
 
@@ -295,10 +327,13 @@ def test_sweep_validation():
         sweep(1)
     with pytest.raises(ValueError):
         sweep(5, workers=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown check 'counts'; available: "
+                                         "positivity, logconcavity$"):
         sweep(5, checks=("counts",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no checks selected$"):
         sweep(5, checks=())
+    with pytest.raises(ValueError, match="m_max"):  # before the check names
+        sweep(1, checks=("counts",))
 
 
 def test_positive_evaluation_beyond_the_root():
