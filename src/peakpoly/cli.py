@@ -65,18 +65,16 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _resolve_cap(args) -> int:
-    cap = getattr(args, "enum_cap", None)
+def _resolve_cap(cap: int | None) -> int:
     if cap is None:
         env = os.environ.get(ENUM_CAP_ENV_VAR)
-        if env:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise _UsageError(
-                    f"{ENUM_CAP_ENV_VAR} must be an integer, got {env!r}") from None
-    if cap is None:
-        return DEFAULT_ENUMERATION_CAP
+        if not env:
+            return DEFAULT_ENUMERATION_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise _UsageError(
+                f"{ENUM_CAP_ENV_VAR} must be an integer, got {env!r}") from None
     if cap < 1:
         raise _UsageError("enumeration cap must be >= 1")
     return cap
@@ -109,7 +107,7 @@ def _print_csv(rows) -> None:
 
 
 def _cmd_poly(args) -> int:
-    s = _parse_set(args.set)
+    s = args.set
     poly = peak_polynomial(s)  # centred at max(S), the default
     if args.center is not None:
         poly = poly.recenter(args.center)
@@ -125,7 +123,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    s = _parse_set(args.set)
+    s = args.set
     poly = peak_polynomial(s)
     m = s[-1] if s else 0
     jmax = args.jmax if args.jmax is not None else m
@@ -147,9 +145,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    s = _parse_set(args.set)
-    cap = _resolve_cap(args)
-
+    s, cap = args.set, args.enum_cap
     counts = {}
     if args.method in ("formula", "all"):
         counts["formula"] = count_via_formula(s, args.n)
@@ -202,9 +198,8 @@ def _render_report_text(report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    s = _parse_set(args.set)
+    s, cap = args.set, args.enum_cap
     checks = _parse_checks(args.checks)
-    cap = _resolve_cap(args)
     k_extra = 5
     if args.k_max is not None:
         m = s[-1] if s else 0
@@ -251,8 +246,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cap = _resolve_cap(args)
-
+    cap = args.enum_cap
     if args.group_by_peaks:
         counts = enumerate_by_peak_set(args.n, cap)
         if args.format == "json":
@@ -361,8 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # input is read under CPython's int-string limit (4,300 digits by
+    # default); the run lifts it, so every count it computes can print
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
         args = parser.parse_args(argv)
+        if "set" in args:
+            args.set = _parse_set(args.set)
+        if "enum_cap" in args:
+            args.enum_cap = _resolve_cap(args.enum_cap)
+        if limit:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except InadmissibleSetError as exc:
         print(f"error: inadmissible peak set: {exc}", file=sys.stderr)
@@ -370,6 +373,9 @@ def main(argv=None) -> int:
     except (_UsageError, EnumerationCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ route can cross-check the others.
 
 import itertools
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from peakpoly.intpoly import BinomialPolynomial, _shift_center
 from peakpoly.perms import (
@@ -31,7 +31,6 @@ from peakpoly.perms import (
     _violation,
     as_peak_set,
     group_permutations_by_peak_set,
-    is_admissible,
 )
 
 @dataclass(frozen=True)
@@ -53,9 +52,9 @@ class DerivedPair:
 def _slides(s: PeakSet) -> list[tuple[int, PeakSet, bool, PeakSet]]:
     """(pivot, lowered, lowered admissible, omitted) at each element of s.
 
-    s must be canonical, nonempty and structurally admissible, so the
-    lowered set is admissible exactly when the pivot sits more than 2
-    above its predecessor (or above 0, for the first element).
+    s must be canonical and structurally admissible, so the lowered set
+    is admissible exactly when the pivot sits more than 2 above its
+    predecessor (or above 0, for the first element).
     """
     down = tuple([v - 1 for v in s])
     out = []
@@ -68,9 +67,9 @@ def _slides(s: PeakSet) -> list[tuple[int, PeakSet, bool, PeakSet]]:
 
 
 def _parts(t: PeakSet) -> list[tuple[int, PeakSet]]:
-    """The admissible derived sets of a canonical, nonempty, admissible t,
-    weighted as in the count recursion (2 if lowered, 1 if omitted); the
-    last is t[:-1], omitted at the last pivot."""
+    """The admissible derived sets of a canonical, admissible t (none if
+    t is empty), weighted as in the count recursion (2 if lowered, 1 if
+    omitted); the last is t[:-1], omitted at the last pivot."""
     parts = []
     for _, lowered, lowered_admissible, omitted in _slides(t):
         if lowered_admissible:
@@ -94,15 +93,15 @@ def peak_polynomial(positions: Iterable[int]) -> BinomialPolynomial:
     """The peak polynomial of a structurally admissible (or empty) peak set.
 
     Returned centred at max(S) with constant coefficient 0; the empty set
-    gives the constant 1.  Coefficients are memoized process-wide.
+    gives the constant 1.  Each call builds the down-closure of S afresh
+    and keeps nothing once it returns.
     """
     s = _admissible(positions)
     return BinomialPolynomial(s[-1] if s else 0, _peak_coefficients(s))
 
 
-def _closure(s: PeakSet, known: Container) -> dict[PeakSet, list[tuple[int, PeakSet]]]:
-    """Each set in the closure of s under derived sets, skipping those in
-    known (and what only they derive), with its _parts.
+def _closure(s: PeakSet) -> dict[PeakSet, list[tuple[int, PeakSet]]]:
+    """Each set in the closure of s under derived sets, with its _parts.
 
     s must be canonical and admissible; the walk keeps an explicit stack.
     """
@@ -110,67 +109,63 @@ def _closure(s: PeakSet, known: Container) -> dict[PeakSet, list[tuple[int, Peak
     pending = [s]
     while pending:
         t = pending.pop()
-        if t in closure or t in known:
+        if t in closure:
             continue
-        closure[t] = _parts(t) if t else []
+        closure[t] = _parts(t)
         pending += [u for _, u in closure[t]]
     return closure
-
-
-# p_S at centre max(S), for every canonical, nonempty, admissible S built so far
-_coefficients: dict[PeakSet, tuple[int, ...]] = {}
 
 
 def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
     """Coefficients of p_s at centre max(s), trimmed of trailing zeros (so
     the degree check can see a short result), for a canonical, admissible
-    s; (1,) for the empty set.
-
-    Sets of the down-closure of s not built yet go through _build in
-    increasing maximum (every derived set's is smaller), without Python
-    recursion.
+    s; (1,) for the empty set.  The down-closure of s goes through _build
+    in increasing maximum, so s, the one set of maximum max(s), comes last.
     """
-    if not s:
-        return (1,)
-    if s not in _coefficients:
-        for t in sorted(filter(None, _closure(s, _coefficients)), key=lambda t: t[-1]):
-            _build(t)
-    return _coefficients[s]
+    coeffs = (1,)
+    for _, coeffs in _build(sorted(filter(None, _closure(s)), key=lambda t: t[-1])):
+        pass
+    return coeffs
 
 
-def _build(t: PeakSet) -> None:
-    """Enter p_t in _coefficients, from the entries of its derived sets,
-    for a canonical, nonempty, admissible t; an entry already there stays.
+def _build(sets: Iterable[PeakSet]) -> Iterator[tuple[PeakSet, tuple[int, ...]]]:
+    """(t, coefficients of p_t at centre max(t), trimmed) for each t of
+    sets (canonical, nonempty, admissible), from a table of the sets built
+    so far that lives only as long as the iteration.
 
     p_t is its first difference, the sum at centre m of the admissible
     derived sets' polynomials (each of degree <= m - 2), shifted right with
     p_t(m) = 0.  All derived sets of t = u + (m,) but u (omitted at the last
     pivot) have maximum m - 1: they are summed at m - 1 with u shifted
-    there, and the sum is shifted to m once.  So every derived set must be
-    entered already, as it is when sets come in increasing maximum.
+    there, and the sum is shifted to m once.  So each nonempty derived set
+    must come earlier, as it does when sets come in increasing maximum.
     """
-    if t in _coefficients:
-        return
-    m, u = t[-1], t[:-1]
-    shifted_u = _shift_center(list(_peak_coefficients(u)), m - 1 - (u[-1] if u else 0))
-    others = [_coefficients[part] for _, part in _parts(t)[:-1]]  # the last part is u
-    difference = list(map(sum, itertools.zip_longest(shifted_u, *others, fillvalue=0)))
-    coeffs = [0, *_shift_center(difference, 1)]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    # CPython's int addition allocates a digit more than a sum may need, and
-    # the memo keeps its entries for the life of the process: c // 1 copies
-    # each at its exact size (peak RSS of a sweep to M = 24, CPython 3.11:
-    # 118 MB without the copy, 100 MB with it)
-    _coefficients[t] = tuple([c // 1 for c in coeffs])
+    table = {(): (1,)}
+    for t in sets:
+        m, u = t[-1], t[:-1]
+        shifted_u = _shift_center(list(table[u]), m - 1 - (u[-1] if u else 0))
+        others = [table[part] for _, part in _parts(t)[:-1]]  # the last part is u
+        difference = list(map(sum, itertools.zip_longest(shifted_u, *others, fillvalue=0)))
+        coeffs = [0, *_shift_center(difference, 1)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        # CPython's int addition allocates a digit more than a sum may need,
+        # and a sweep holds every entry until it ends: c // 1 copies each at
+        # its exact size (peak RSS of a sweep to M = 24, CPython 3.11:
+        # 118 MB without the copy, 100 MB with it)
+        table[t] = tuple([c // 1 for c in coeffs])
+        yield t, table[t]
 
 
 def count_via_formula(positions: Iterable[int], n: int) -> int:
     """p_S(n) * 2^(n - |S| - 1) when S is n-admissible, else 0."""
     s = as_peak_set(positions)
-    if not is_admissible(s, n):  # raises for n < 1
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if _violation(s) is not None or (s and s[-1] >= n):
         return 0
-    return peak_polynomial(s).evaluate(n) * 2 ** (n - len(s) - 1)
+    poly = BinomialPolynomial(s[-1] if s else 0, _peak_coefficients(s))
+    return poly.evaluate(n) * 2 ** (n - len(s) - 1)
 
 
 def _recursion_counts(s: PeakSet) -> Iterator[int]:
@@ -182,7 +177,7 @@ def _recursion_counts(s: PeakSet) -> Iterator[int]:
     """
     if _violation(s) is not None:
         yield from itertools.repeat(0)  # never returns
-    terms = {t: [(2, t), *rule] for t, rule in _closure(s, {}).items()}
+    terms = {t: [(2, t), *rule] for t, rule in _closure(s).items()}
     counts = {t: 0 if t else 1 for t in terms}
     for q in itertools.count(2):
         yield counts[s]

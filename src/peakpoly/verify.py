@@ -8,13 +8,13 @@ violation; none of the bundled checks is expected to fail, so a failure
 always signals an implementation bug worth a reduced witness.
 
 The public functions validate their input once (the check names before
-the set; verify_counts is verify_set with counts alone); one private
-function then runs the selected checks on the canonical set, reading its
-coefficients once.  Each check yields only its witness, None when it
-holds, and every verdict is read off the witness as the one report is
-built.  The sweep builds each set's entry in the engine's memo and then
-calls that function directly, because its sets are canonical and
-admissible by construction.
+the set; verify_counts and verify_log_concavity are verify_set with one
+check) and read the coefficients once; one private function then runs the
+selected checks on the canonical set and its coefficients.  Each check
+yields only its witness, None when it holds, and every verdict is read
+off the witness as the one report is built.  The sweep hands that
+function each set's coefficients as the engine builds them, because its
+sets are canonical and admissible by construction.
 """
 
 import itertools
@@ -82,12 +82,6 @@ class VerificationReport:
         }
 
 
-def _padded(coeffs: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Centre-m coefficients for j = 0..m: cut after j = m, or padded with
-    zeros (for a peak polynomial, the structural zero at j = m)."""
-    return coeffs[:m + 1] + (0,) * (m + 1 - len(coeffs))
-
-
 def _positivity_violation(coeffs: tuple[int, ...], m: int,
                           k_max: int) -> tuple[int, int] | None:
     """First (j, k) in (j, then k) order with (D^j p)(k) <= 0 over
@@ -135,20 +129,21 @@ def _check_names(checks: Iterable[str], allowed: tuple[str, ...]) -> tuple[str, 
     return names
 
 
-def _verify(s: PeakSet, names: tuple[str, ...], k_max: int = 0, n_max: int = 0,
-            max_n: int = DEFAULT_ENUMERATION_CAP, admissible: bool = True,
-            ) -> VerificationReport:
-    """Run the named checks on the canonical set s, in the given order
-    (duplicates included), into one report.
+def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int = 0,
+            n_max: int = 0, max_n: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
+    """Run the named checks, in the given order (duplicates included), on
+    the canonical set s and the coefficients raw of p_s at centre max(s).
 
     s must be nonempty and admissible when a check other than counts is
-    named; for an inadmissible s (counts only) the report's coefficients
-    are zeros.  Positivity runs through centre k_max, counts through length
-    n_max.  Nothing here validates s: the public callers do that once.
+    named; for an inadmissible s (counts only) raw is () and the report's
+    coefficients are zeros.  Positivity runs through centre k_max, counts
+    through length n_max.  Nothing here validates s: the public callers do
+    that once.
     """
     m = s[-1] if s else 0
-    raw = _peak_coefficients(s) if admissible else ()
-    coeffs = _padded(raw, m)
+    # j = 0..m: cut after j = m, or padded with zeros (for a peak
+    # polynomial, the structural zero at j = m)
+    coeffs = raw[:m + 1] + (0,) * (m + 1 - len(raw))
     witnesses: list[tuple[str, object]] = []  # (check name, witness or None)
     notes: dict = {}
     for name in names:
@@ -216,7 +211,8 @@ def verify_positivity(positions: Iterable[int], k_max: int) -> VerificationRepor
     m <= k <= k_max; the m-th difference is identically zero; p_S(m) = 0;
     and deg p_S = m - 1.
     """
-    return _verify(_admissible(positions, _EMPTY), ("positivity",), k_max)
+    s = _admissible(positions, _EMPTY)
+    return _verify(s, _peak_coefficients(s), ("positivity",), k_max)
 
 
 def verify_log_concavity(positions: Iterable[int]) -> VerificationReport:
@@ -228,7 +224,7 @@ def verify_log_concavity(positions: Iterable[int]) -> VerificationReport:
     counterexamples for, not an assumption.  Indices where the
     log-concavity inequality is tight are reported as well.
     """
-    return _verify(_admissible(positions, _EMPTY), ("logconcavity",))
+    return verify_set(positions, ("logconcavity",))
 
 
 def verify_counts(positions: Iterable[int], n_max: int,
@@ -261,13 +257,14 @@ def verify_set(positions: Iterable[int],
     names = _check_names(checks, ALL_CHECKS)
     if set(names) == {"counts"}:  # the only check that takes any set
         s = as_peak_set(positions)
-        admissible = _violation(s) is None
+        raw = _peak_coefficients(s) if _violation(s) is None else ()
     else:
-        s, admissible = _admissible(positions, _EMPTY), True
+        s = _admissible(positions, _EMPTY)
+        raw = _peak_coefficients(s)
     m = s[-1] if s else 0
     if n_max is None:
         n_max = max(m + 1, min(m + 3, max_n))
-    return _verify(s, names, m + k_extra, n_max, max_n, admissible)
+    return _verify(s, raw, names, m + k_extra, n_max, max_n)
 
 
 @dataclass(frozen=True)
@@ -299,13 +296,14 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     """Verify every structurally admissible nonempty peak set with
     max(S) <= m_max, in the fixed (max, lexicographic) set order.
 
-    Every set runs in this process, whose memo builds each polynomial
-    once; workers is only checked to be >= 1 (worker processes each
-    rebuilt the memo, which cost more than they saved).  The sets are
+    Every set runs in this process, which builds each polynomial once;
+    workers is only checked to be >= 1 (worker processes each rebuilt
+    every polynomial, which cost more than they saved).  The sets are
     canonical and admissible by construction, so none is validated.  Each
     set's derived sets have smaller maxima and so come earlier in this
-    order: each set is built from their memo entries just before its
-    checks, with no down-closure walk.
+    order: each set is built from their entries just before its checks,
+    with no down-closure walk, in one table dropped when the sweep
+    returns.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -316,9 +314,8 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     sets = structurally_admissible_sets(m_max)
     start = time.perf_counter()
     failures = []
-    for s in sets:
-        _build(s)
-        report = _verify(s, names, s[-1] + k_extra)
+    for s, raw in _build(sets):
+        report = _verify(s, raw, names, s[-1] + k_extra)
         if not report.passed:
             failures.append(report)
     elapsed = time.perf_counter() - start

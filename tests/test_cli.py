@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 from peakpoly.cli import main
 from peakpoly.engine import count_via_formula
@@ -180,12 +181,13 @@ def test_counts_check_catches_an_off_by_one_oracle(capsys, monkeypatch):
 
 def test_log_concavity_check_catches_a_planted_dip(capsys, monkeypatch):
     # plant c_3 = 1 in p_{4,6} (really 43): c_3^2 = 1 < c_2 * c_4 = 50 * 18,
-    # while every coefficient stays positive
+    # while every coefficient stays positive; planted in _verify's argument,
+    # where verify_set and the sweep both hand over the coefficients
     import peakpoly.verify as verify
-    exact = verify._peak_coefficients
+    exact = verify._verify
     planted = (0, 25, 50, 1, 18, 3)
-    monkeypatch.setattr(verify, "_peak_coefficients",
-                        lambda s: planted if s == (4, 6) else exact(s))
+    monkeypatch.setattr(verify, "_verify", lambda s, raw, *args:
+                        exact(s, planted if s == (4, 6) else raw, *args))
     report = verify.verify_log_concavity((4, 6))
     assert [(c.name, c.witness) for c in report.checks] == [("logconcavity", 3)]
 
@@ -339,6 +341,31 @@ def test_recursion_count_at_large_n_via_subprocess():
     formula = _run_module("count", "--set", "4,6", "--n", "1000", "--method", "formula")
     assert recursion.returncode == formula.returncode == 0, recursion.stderr
     assert recursion.stdout == formula.stdout
+
+
+def test_counts_past_the_int_string_limit_via_subprocess():
+    # (n - 2) * 2^(n - 2) has 6,025 digits at n = 20000, past the default
+    # 4,300-digit limit on int-string conversion; output lifts it
+    expected = 19998 * 2 ** 19998
+    text = _run_module("count", "--set", "2", "--n", "20000")
+    data = _run_module("count", "--set", "2", "--n", "20000", "--format", "json")
+    assert text.returncode == data.returncode == 0, text.stderr + data.stderr
+    # Decimal reads and compares the digits exactly, with no such limit
+    assert Decimal(text.stdout) == expected
+    assert Decimal(json.loads(data.stdout)["counts"]["formula"]) == expected
+
+    # input is still read under the limit: one error line, exit 1
+    huge = "1" * 5000
+    for argv in (("--set", "2", "--n", huge), ("--set", f"2,{huge}", "--n", "5")):
+        result = _run_module("count", *argv)
+        assert result.returncode == 1
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
+
+    # the counts check renders its rows the same way
+    result = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-m", "peakpoly",
+                             "verify", "--set", "2", "--checks", "counts", "--n-max", "2200"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_deep_set_via_subprocess():

@@ -4,7 +4,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from peakpoly.engine import (
-    _coefficients,
     count_via_formula,
     count_via_recursion,
     derived_sets,
@@ -93,6 +92,27 @@ def test_count_via_formula_examples():
     assert count_via_formula((2,), 4) == 8
     assert count_via_formula((4, 6), 6) == 0
     assert count_via_formula((1,), 9) == 0  # never admissible, no error
+
+
+def test_count_via_formula_validates_once(monkeypatch):
+    import peakpoly.perms as perms
+    original = perms.as_peak_set
+    calls = []
+
+    def counting(positions):
+        calls.append(positions)
+        return original(positions)
+
+    for module in ("perms", "engine"):
+        monkeypatch.setattr(f"peakpoly.{module}.as_peak_set", counting)
+    assert count_via_formula((4, 6), 7) == 400
+    assert calls == [(4, 6)]
+    # inadmissible, or max(S) >= n: 0, still from one call each
+    assert count_via_formula((3, 4), 9) == 0
+    assert count_via_formula((4, 6), 6) == 0
+    assert calls == [(4, 6), (3, 4), (4, 6)]
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        count_via_formula((2,), 0)
 
 
 def test_count_via_recursion_examples():
@@ -211,7 +231,6 @@ def test_cache_entries_have_canonical_shape():
 def test_cache_is_safe_under_concurrent_use():
     sets = structurally_admissible_sets(10)
     expected = [peak_polynomial(s) for s in sets]
-    _coefficients.clear()  # so the threads build the entries concurrently
     with ThreadPoolExecutor(max_workers=8) as pool:
         for _ in range(3):
             results = list(pool.map(peak_polynomial, sets))

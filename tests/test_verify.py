@@ -276,7 +276,6 @@ def test_sweep_validates_no_set(monkeypatch):
     for module in ("perms", "engine", "verify"):
         for name in ("as_peak_set", "_admissible", "_violation"):
             monkeypatch.setattr(f"peakpoly.{module}.{name}", refuse)
-    monkeypatch.setattr("peakpoly.engine._coefficients", {})  # rebuild under the patch
     patched = sweep(8)
     for field in ("m_max", "checks", "sets_checked", "failures"):
         assert getattr(patched, field) == getattr(unpatched, field)
@@ -300,7 +299,6 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
 
     monkeypatch.setattr(engine, "_closure", refuse)
     monkeypatch.setattr(engine, "_shift_center", counting)
-    monkeypatch.setattr(engine, "_coefficients", {})
     patched = sweep(12)
     for field in ("m_max", "checks", "sets_checked", "failures"):
         assert getattr(patched, field) == getattr(unpatched, field)
@@ -308,18 +306,36 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
 
 
 def test_sweep_memo_equals_the_closure_build(monkeypatch):
-    import peakpoly.engine as engine
+    # what the sweep's one table hands the checks, set by set, is what a
+    # cold down-closure build gives for that set alone
+    import peakpoly.verify as verify
     sets = structurally_admissible_sets(14)
     assert len(sets) == 609
-    monkeypatch.setattr(engine, "_coefficients", {})
+    original, handed = verify._verify, []
+
+    def recording(s, raw, *args):
+        handed.append((s, raw))
+        return original(s, raw, *args)
+
+    monkeypatch.setattr(verify, "_verify", recording)
     sweep(14)
-    swept = engine._coefficients
-    # largest first, so each peak_polynomial call walks a down-closure
-    monkeypatch.setattr(engine, "_coefficients", {})
-    for s in reversed(sets):
-        peak_polynomial(s)
-    assert engine._coefficients == swept
-    assert list(swept) == sets
+    assert [s for s, _ in handed] == sets
+    assert all(raw == peak_polynomial(s).coeffs for s, raw in handed)
+
+
+def test_sweep_and_build_keep_no_table():
+    # the table lives only as long as the call that builds it
+    import gc
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        sweep(18)
+        peak_polynomial(tuple(range(2, 25, 2)))
+        gc.collect()  # also empties CPython's free lists of dropped tuples
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 500_000
 
 
 def test_sweep_validation():
