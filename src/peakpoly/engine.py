@@ -20,6 +20,7 @@ route can cross-check the others.
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator
 
 from peakpoly.intpoly import BinomialPolynomial, _shift_center
@@ -137,8 +138,9 @@ def _build(sets: Iterable[PeakSet]) -> Iterator[tuple[PeakSet, tuple[int, ...]]]
     derived sets' polynomials (each of degree <= m - 2), shifted right with
     p_t(m) = 0.  All derived sets of t = u + (m,) but u (omitted at the last
     pivot) have maximum m - 1: they are summed at m - 1 with u shifted
-    there, and the sum is shifted to m once.  So each nonempty derived set
-    must come earlier, as it does when sets come in increasing maximum.
+    there, the one shift per set, and the antidifference step takes the
+    sum to p_t at m directly.  So each nonempty derived set must come
+    earlier, as it does when sets come in increasing maximum.
     """
     table = {(): (1,)}
     for t in sets:
@@ -146,7 +148,9 @@ def _build(sets: Iterable[PeakSet]) -> Iterator[tuple[PeakSet, tuple[int, ...]]]
         shifted_u = _shift_center(list(table[u]), m - 1 - (u[-1] if u else 0))
         others = [table[part] for _, part in _parts(t)[:-1]]  # the last part is u
         difference = list(map(sum, itertools.zip_longest(shifted_u, *others, fillvalue=0)))
-        coeffs = [0, *_shift_center(difference, 1)]
+        # p_t at m from its difference d at m - 1 and p_t(m) = 0: c_0 = 0
+        # and c_j = d_(j-1) + d_j, one Pascal step from m - 1 to m
+        coeffs = [0, *map(add, difference, difference[1:]), difference[-1]]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         # CPython's int addition allocates a digit more than a sum may need,

@@ -9,12 +9,14 @@ always signals an implementation bug worth a reduced witness.
 
 The public functions validate their input once (the check names before
 the set; verify_counts and verify_log_concavity are verify_set with one
-check) and read the coefficients once; one private function then runs the
-selected checks on the canonical set and its coefficients.  Each check
-yields only its witness, None when it holds, and every verdict is read
-off the witness as the one report is built.  The sweep hands that
-function each set's coefficients as the engine builds them, because its
-sets are canonical and admissible by construction.
+check) and read the coefficients once; one private function then builds
+the report of the selected checks on the canonical set and its
+coefficients.  Each check decides only its witness, None when it holds,
+in one place, and every verdict in a report is read off that witness.
+The sweep, whose sets are canonical and admissible by construction, asks
+for the witnesses of each set's coefficients as the engine builds them,
+and builds a report only for a set that has one: every peak polynomial
+passes, so a sweep that finds nothing builds no report.
 """
 
 import itertools
@@ -129,10 +131,44 @@ def _check_names(checks: Iterable[str], allowed: tuple[str, ...]) -> tuple[str, 
     return names
 
 
+def _witnesses(name: str, raw: tuple[int, ...], m: int,
+               k_max: int) -> list[tuple[str, object]]:
+    """(check name, witness or None) for each check that the polynomial
+    check name (positivity or logconcavity) makes on the coefficients raw
+    of a polynomial at centre m: the one place that decides whether such a
+    check fails, read by the sweep and by every report.
+
+    Positivity runs through centre k_max.
+    """
+    if name == "positivity":
+        if k_max < m:
+            raise ValueError(f"k_max must be >= max(S) = {m}, got {k_max}")
+        order_m_witness = None
+        if raw[m:]:
+            # a nonzero polynomial of degree e cannot vanish at e+1 consecutive points
+            order_m = BinomialPolynomial(m, raw[m:])
+            order_m_witness = next(
+                (m, k) for k in range(m, m + order_m.degree + 2)
+                if order_m.evaluate(k) != 0)
+        degree = len(raw) - 1
+        return [
+            ("positivity", _positivity_violation(raw, m, k_max)),
+            ("order-m-difference-zero", order_m_witness),
+            ("zero-at-max", (0, m) if raw and raw[0] else None),
+            ("degree", None if degree == m - 1 else degree),
+        ]
+    # c_j^2 < c_(j-1) * c_(j+1) over 2 <= j <= m-2; past the trimmed raw,
+    # c_(j+1) = 0 and no j can fail, so raw needs no padding
+    return [("logconcavity", next((j for j in range(2, min(m, len(raw)) - 1)
+                                   if raw[j] ** 2 < raw[j - 1] * raw[j + 1]), None))]
+
+
 def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int = 0,
             n_max: int = 0, max_n: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
-    """Run the named checks, in the given order (duplicates included), on
-    the canonical set s and the coefficients raw of p_s at centre max(s).
+    """The report of the named checks, in the given order (duplicates
+    included), on the canonical set s and the coefficients raw of p_s at
+    centre max(s): each verdict is read off the witness that _witnesses
+    decides (counts decides its own), plus the notes.
 
     s must be nonempty and admissible when a check other than counts is
     named; for an inadmissible s (counts only) raw is () and the report's
@@ -148,37 +184,13 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
     notes: dict = {}
     for name in names:
         if name == "positivity":
-            if k_max < m:
-                raise ValueError(f"k_max must be >= max(S) = {m}, got {k_max}")
-            order_m_witness = None
-            if raw[m:]:
-                # a nonzero polynomial of degree e cannot vanish at e+1 consecutive points
-                order_m = BinomialPolynomial(m, raw[m:])
-                order_m_witness = next(
-                    (m, k) for k in range(m, m + order_m.degree + 2)
-                    if order_m.evaluate(k) != 0)
-            degree = len(raw) - 1
-            witnesses += (
-                ("positivity", _positivity_violation(raw, m, k_max)),
-                ("order-m-difference-zero", order_m_witness),
-                ("zero-at-max", (0, m) if coeffs[0] else None),
-                ("degree", None if degree == m - 1 else degree),
-            )
+            witnesses += _witnesses(name, raw, m, k_max)
             notes["k_max"] = k_max
         elif name == "logconcavity":
-            witness = None
-            ties = []
-            for j in range(2, m - 1):
-                lhs = coeffs[j] ** 2
-                rhs = coeffs[j - 1] * coeffs[j + 1]
-                if lhs < rhs:
-                    if witness is None:
-                        witness = j
-                elif lhs == rhs:
-                    ties.append(j)
-            witnesses.append(("logconcavity", witness))
+            witnesses += _witnesses(name, raw, m, k_max)
             notes["unimodal"] = _is_unimodal(coeffs[1:m])
-            notes["log_concavity_ties"] = ties
+            notes["log_concavity_ties"] = [
+                j for j in range(2, m - 1) if coeffs[j] ** 2 == coeffs[j - 1] * coeffs[j + 1]]
         else:
             witness = None
             rows = {}
@@ -252,18 +264,19 @@ def verify_set(positions: Iterable[int],
     """Run the selected named checks on one set, merged into one report.
 
     positivity runs with k_max = max(S) + k_extra; counts runs through
-    n_max (default: a few lengths above max(S), within the cap).
+    n_max (default: a few lengths above max(S), within the cap), which
+    must be at least max(S) + 1 (1 for the empty set).
     """
     names = _check_names(checks, ALL_CHECKS)
-    if set(names) == {"counts"}:  # the only check that takes any set
-        s = as_peak_set(positions)
-        raw = _peak_coefficients(s) if _violation(s) is None else ()
-    else:
-        s = _admissible(positions, _EMPTY)
-        raw = _peak_coefficients(s)
+    counts_only = set(names) == {"counts"}  # the only check that takes any set
+    s = as_peak_set(positions) if counts_only else _admissible(positions, _EMPTY)
     m = s[-1] if s else 0
     if n_max is None:
         n_max = max(m + 1, min(m + 3, max_n))
+    elif n_max < m + 1 and "counts" in names:  # else counts would compare no length
+        bound = f"max(S) + 1 = {m + 1}" if s else "1"
+        raise ValueError(f"n_max must be >= {bound}, got {n_max}")
+    raw = () if counts_only and _violation(s) is not None else _peak_coefficients(s)
     return _verify(s, raw, names, m + k_extra, n_max, max_n)
 
 
@@ -303,7 +316,8 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     set's derived sets have smaller maxima and so come earlier in this
     order: each set is built from their entries just before its checks,
     with no down-closure walk, in one table dropped when the sweep
-    returns.
+    returns.  A set's checks decide only its witnesses; the full report,
+    the one verify_set gives, is built only for a set with a witness.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -315,8 +329,9 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     start = time.perf_counter()
     failures = []
     for s, raw in _build(sets):
-        report = _verify(s, raw, names, s[-1] + k_extra)
-        if not report.passed:
-            failures.append(report)
+        m = s[-1]
+        if any(witness is not None for name in names
+               for _, witness in _witnesses(name, raw, m, m + k_extra)):
+            failures.append(_verify(s, raw, names, m + k_extra))
     elapsed = time.perf_counter() - start
     return SweepSummary(m_max, names, len(sets), tuple(failures), elapsed)

@@ -66,6 +66,14 @@ ENTRY_POINTS = {
     "verify_set counts only": (lambda s: verify_set(s, ("counts",)), False),
 }
 
+# library calls with an option value out of range -> the bound the error names
+OPTION_CASES = [
+    (lambda: verify_set((4, 6), ("counts",), n_max=6), "max(S) + 1 = 7"),
+    (lambda: verify_set((2,), ("positivity", "counts"), n_max=-5), "max(S) + 1 = 3"),
+    (lambda: verify_counts((2,), 1), "max(S) + 1 = 3"),
+    (lambda: verify_counts((), 0), "1"),
+]
+
 # CLI calls whose bad option value or set only the library checks -> exit code
 CLI_CASES = [
     (["poly", "--set", "4,6", "--center", "-1"], 1),
@@ -82,6 +90,9 @@ CLI_CASES = [
     *((["poly", "--set", text], 1) for text in ("a", "2.5", "0,4", "4,4", "6,4", "2,,4")),
     *((["poly", "--set", text], 2) for text in ("1,4", "3,4")),
     (["verify", "--set", "3,4"], 2),
+    (["verify", "--set", "2", "--checks", "counts", "--n-max", "1"], 1),
+    (["verify", "--set", "2", "--checks", "counts", "--n-max", "-5"], 1),
+    (["verify", "--set", "", "--checks", "counts", "--n-max", "0"], 1),
 ]
 
 
@@ -97,6 +108,11 @@ def test_sets_and_options_are_checked_at_the_boundary(capsys):
                     call(s)
             else:
                 call(s)
+
+    for call, bound in OPTION_CASES:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(f"n_max must be >= {bound}, got "), bound
 
     for argv, code in CLI_CASES:
         assert main(argv) == code, argv

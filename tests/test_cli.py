@@ -179,15 +179,13 @@ def test_counts_check_catches_an_off_by_one_oracle(capsys, monkeypatch):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
 
 
-def test_log_concavity_check_catches_a_planted_dip(capsys, monkeypatch):
+def test_log_concavity_check_catches_a_planted_dip(capsys, plant_coefficients):
     # plant c_3 = 1 in p_{4,6} (really 43): c_3^2 = 1 < c_2 * c_4 = 50 * 18,
-    # while every coefficient stays positive; planted in _verify's argument,
-    # where verify_set and the sweep both hand over the coefficients
+    # while every coefficient stays positive; planted in what the build
+    # yields, where verify_set and the sweep both read the coefficients
     import peakpoly.verify as verify
-    exact = verify._verify
     planted = (0, 25, 50, 1, 18, 3)
-    monkeypatch.setattr(verify, "_verify", lambda s, raw, *args:
-                        exact(s, planted if s == (4, 6) else raw, *args))
+    plant_coefficients(lambda t, raw: planted if t == (4, 6) else raw)
     report = verify.verify_log_concavity((4, 6))
     assert [(c.name, c.witness) for c in report.checks] == [("logconcavity", 3)]
 

@@ -10,8 +10,10 @@ from peakpoly.intpoly import BinomialPolynomial
 from peakpoly.perms import InadmissibleSetError, structurally_admissible_sets
 from peakpoly.verify import (
     ALL_CHECKS,
+    SWEEP_CHECKS,
     SweepSummary,
     _positivity_violation,
+    _witnesses,
     sweep,
     verify_counts,
     verify_log_concavity,
@@ -92,18 +94,36 @@ def _verdicts_match_witnesses(report):
     return all(check.passed == (check.witness is None) for check in report.checks)
 
 
-def test_verdicts_come_from_witnesses(monkeypatch):
+def _spoil(t, raw):
+    """A wrong coefficient tuple for some sets t, each failing another check:
+    c_3 lowered to 1 (logconcavity where it dips), c_1 negated (positivity),
+    c_0 = 1 (zero-at-max), one coefficient past degree m - 1 (degree and
+    order-m-difference-zero); the rest kept."""
+    kind = sum(t) % 5
+    if kind == 0 and len(raw) > 4:
+        return raw[:3] + (1,) + raw[4:]
+    if kind == 1:
+        return (0, -raw[1]) + raw[2:]
+    if kind == 2:
+        return (1,) + raw[1:]
+    if kind == 3:
+        return raw + (0, 7)
+    return raw
+
+
+def test_verdicts_come_from_witnesses(monkeypatch, plant_coefficients):
+    # the sweep keeps exactly the sets that verify_set fails, with the same
+    # report, while some sets carry planted failures of every check
     import peakpoly.verify as verify
-    original, reports = verify._verify, []
-
-    def recording(*args, **kwargs):
-        reports.append(original(*args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(verify, "_verify", recording)
-    summary = sweep(10)
-    assert len(reports) == summary.sets_checked
+    plant_coefficients(_spoil)
+    reports = [verify_set(s) for s in structurally_admissible_sets(12)]
     assert all(_verdicts_match_witnesses(report) for report in reports)
+    failing = tuple(report for report in reports if not report.passed)
+    assert 0 < len(failing) < len(reports)
+    assert sweep(12).failures == failing
+    assert {c.name for report in failing for c in report.checks
+            if not c.passed} == {"positivity", "order-m-difference-zero",
+                                 "zero-at-max", "degree", "logconcavity"}
 
     # the planted tuple of test_structural_checks_report_witnesses fails four
     # checks (counts too: its formula leg disagrees) and passes logconcavity
@@ -111,6 +131,25 @@ def test_verdicts_come_from_witnesses(monkeypatch):
     report = verify_set((3,), ALL_CHECKS)
     assert _verdicts_match_witnesses(report)
     assert [c.name for c in report.checks if c.passed] == ["logconcavity"]
+
+
+def test_a_passing_sweep_builds_no_report(monkeypatch, plant_coefficients):
+    # a set without a witness costs the sweep its checks' decisions only:
+    # no report, no CheckResult, no notes
+    import peakpoly.verify as verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a report for a passing set")
+
+    for name in ("VerificationReport", "CheckResult", "_is_unimodal"):
+        monkeypatch.setattr(verify, name, refuse)
+    assert sweep(12).failures == ()
+
+    # a failing set's report is the one verify_set gives under the same plant
+    monkeypatch.undo()
+    plant_coefficients(lambda t, raw: (0, 25, 50, 1, 18, 3) if t == (4, 6) else raw)
+    failures = sweep(8).failures
+    assert [r.to_json_dict() for r in failures] == [verify_set((4, 6)).to_json_dict()]
 
 
 def test_positivity_of_peak_polynomials_needs_no_shift(monkeypatch):
@@ -141,6 +180,16 @@ def test_positivity_violation_matches_evaluating_scan(center, coeffs, m, k_extra
     poly = BinomialPolynomial(center, tuple(coeffs))
     assert (_positivity_violation(poly.recenter(m).coeffs, m, m + k_extra)
             == _reference_positivity_violation(poly, m, m + k_extra))
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=6), max_size=9),
+       st.integers(min_value=2, max_value=10))
+def test_log_concavity_witness_matches_the_padded_scan(raw, m):
+    # the witness reads the coefficients as given, however short or long;
+    # a scan of c_0..c_m padded with zeros finds the same first dip
+    c = raw[:m + 1] + [0] * (m + 1 - len(raw))
+    dip = next((j for j in range(2, m - 1) if c[j] ** 2 < c[j - 1] * c[j + 1]), None)
+    assert _witnesses("logconcavity", tuple(raw), m, m) == [("logconcavity", dip)]
 
 
 def test_log_concavity_worked_example():
@@ -283,7 +332,7 @@ def test_sweep_validates_no_set(monkeypatch):
 
 def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     # every derived set has a smaller maximum, so the sweep's own (max, lex)
-    # order builds each set from entries already made, two shifts per set
+    # order builds each set from entries already made, one shift per set
     import peakpoly.engine as engine
     unpatched = sweep(12)
 
@@ -302,7 +351,7 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     patched = sweep(12)
     for field in ("m_max", "checks", "sets_checked", "failures"):
         assert getattr(patched, field) == getattr(unpatched, field)
-    assert len(shifts) == 2 * patched.sets_checked
+    assert len(shifts) == patched.sets_checked
 
 
 def test_sweep_memo_equals_the_closure_build(monkeypatch):
@@ -311,16 +360,16 @@ def test_sweep_memo_equals_the_closure_build(monkeypatch):
     import peakpoly.verify as verify
     sets = structurally_admissible_sets(14)
     assert len(sets) == 609
-    original, handed = verify._verify, []
+    original, handed = verify._witnesses, []
 
-    def recording(s, raw, *args):
-        handed.append((s, raw))
-        return original(s, raw, *args)
+    def recording(name, raw, m, k_max):
+        handed.append((name, raw, m))
+        return original(name, raw, m, k_max)
 
-    monkeypatch.setattr(verify, "_verify", recording)
+    monkeypatch.setattr(verify, "_witnesses", recording)
     sweep(14)
-    assert [s for s, _ in handed] == sets
-    assert all(raw == peak_polynomial(s).coeffs for s, raw in handed)
+    assert handed == [(name, peak_polynomial(s).coeffs, s[-1])
+                      for s in sets for name in SWEEP_CHECKS]
 
 
 def test_sweep_and_build_keep_no_table():
