@@ -336,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest maximum position to sweep")
     p.add_argument("--checks", default=",".join(SWEEP_CHECKS),
                    help=f"comma-separated subset of {','.join(SWEEP_CHECKS)}")
-    p.add_argument("--jobs", type=int, default=1, help="kept for compatibility (one process)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="deprecated, kept for compatibility (one process)")
     p.add_argument("--report", default=None, metavar="PATH",
                    help="also write the JSON summary to this file (atomically)")
     add_format(p)

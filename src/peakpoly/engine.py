@@ -19,11 +19,11 @@ route can cross-check the others.
 """
 
 import itertools
+import struct
 from dataclasses import dataclass
-from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from peakpoly.intpoly import BinomialPolynomial, _shift_center
+from peakpoly.intpoly import BinomialPolynomial, binomial_row
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     PeakSet,
@@ -117,48 +117,154 @@ def _closure(s: PeakSet) -> dict[PeakSet, list[tuple[int, PeakSet]]]:
     return closure
 
 
-def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
+def _peak_coefficients(s: PeakSet, closure: dict | None = None) -> tuple[int, ...]:
     """Coefficients of p_s at centre max(s), trimmed of trailing zeros (so
     the degree check can see a short result), for a canonical, admissible
-    s; (1,) for the empty set.  The down-closure of s goes through _build
-    in increasing maximum, so s, the one set of maximum max(s), comes last.
+    s; (1,) for the empty set.  The down-closure of s (closure, when the
+    caller has walked it already) goes through _build in increasing
+    maximum, so s, the one set of maximum max(s), comes last, and it is
+    the only set handed out.
     """
+    if closure is None:
+        closure = _closure(s)
+    sets = sorted(filter(None, closure), key=lambda t: t[-1])
     coeffs = (1,)
-    for _, coeffs in _build(sorted(filter(None, _closure(s)), key=lambda t: t[-1])):
+    for _, coeffs in _build(sets, len(sets) - 1):
         pass
     return coeffs
 
 
-def _build(sets: Iterable[PeakSet]) -> Iterator[tuple[PeakSet, tuple[int, ...]]]:
+# Bits per limb of the packed table when a build starts, a multiple of 64.
+# A sweep to max(S) = 26 needs 80 bits of coefficient and 17 guard bits,
+# and each further level about 4 more: sweeps to about 30 fit
+_LIMB_BITS = 128
+
+
+def _build(sets: Sequence[PeakSet],
+           start: int = 0) -> Iterator[tuple[PeakSet, tuple[int, ...]]]:
     """(t, coefficients of p_t at centre max(t), trimmed) for each t of
-    sets (canonical, nonempty, admissible), from a table of the sets built
-    so far that lives only as long as the iteration.
+    sets[start:] (sets canonical, nonempty, admissible), from a table of
+    the sets built so far that lives only as long as the iteration.
 
     p_t is its first difference, the sum at centre m of the admissible
     derived sets' polynomials (each of degree <= m - 2), shifted right with
     p_t(m) = 0.  All derived sets of t = u + (m,) but u (omitted at the last
     pivot) have maximum m - 1: they are summed at m - 1 with u shifted
-    there, the one shift per set, and the antidifference step takes the
-    sum to p_t at m directly.  So each nonempty derived set must come
-    earlier, as it does when sets come in increasing maximum.
+    there, and the antidifference step takes the sum to p_t at m directly.
+    So each nonempty derived set must come earlier, as it does when sets
+    come in increasing maximum.
+
+    _packed does that arithmetic on whole polynomials, each packed into
+    one int of fixed-width limbs; here the width is chosen, widened until
+    every stored entry fits, and each entry handed out as a tuple.
     """
-    table = {(): (1,)}
+    if not sets:
+        return
+    # rows[m][max(u)]: C(steps, i) for the shift of u to m - 1, up to the
+    # last i that can meet a limb of u (an entry of maximum m >= 1 has at
+    # most m limbs: each step adds one to those of its parts)
+    rows: dict[int, dict[int, list[int]]] = {}
+    for m, below in {(t[-1], t[-2] if len(t) > 1 else 0) for t in sets}:
+        steps = m - 1 - below
+        rows.setdefault(m, {})[below] = binomial_row(steps, min(steps, max(below - 1, 0)))
+    # G, with twice the largest total weight of one step (at most 2|t| - 1
+    # parts besides u) below 2^G
+    weight = max(sum(row) for level in rows.values() for row in level.values())
+    guard_bits = (2 * (weight + 2 * max(map(len, sets)) - 1)).bit_length()
+    width = -(-max(_LIMB_BITS, guard_bits + 1) // 64) * 64
+    top = sets[-1][-1]
+    while True:
+        # the bits of each limb above its lowest 64, over the top's limbs
+        spill = int.from_bytes((bytes(8) + b"\xff" * (width // 8 - 8)) * top, "little")
+        for i, (t, packed) in enumerate(_packed(sets, rows, width, guard_bits)):
+            if packed is None:
+                break
+            if i >= start:  # each set is handed out once, whatever the rebuilds
+                start += 1
+                yield t, _limbs(packed, width, spill)
+        else:
+            return
+        # t outgrew the width.  Bit-lengths grow about linearly in the
+        # maximum, so scale the room to the top maximum, with a quarter to
+        # spare, and build the whole call again
+        room = (width - guard_bits) * top * 5 // (4 * t[-1])
+        width = max(width + 64, -(-(guard_bits + room) // 64) * 64)
+
+
+def _packed(sets: Sequence[PeakSet], rows: dict[int, dict[int, list[int]]],
+            width: int, guard_bits: int) -> Iterator[tuple[PeakSet, int | None]]:
+    """(t, p_t packed into one int) for each t of sets, in order, until a
+    set that later sets read does not fit: for that set (t, None), and no
+    more.
+
+    Limb j of an entry, width bits wide, holds c_j at centre max(t), and
+    the table is keyed by bitmask, bit v set for each v of t.  Each derived
+    part's key then comes from shifts of t's: at pivot p, with low the bits
+    of t below p, the lowered part is low | (t >> p) << (p - 1), and the
+    omitted part is that without its bit p - 1.  No later set in the call
+    reads a set of the top maximum, so none of those is stored or guarded.
+
+    Why no limb ever carries into the next: the entry of () is 1 and every
+    stored limb is below 2^(width - G), G = guard_bits, as the guard mask
+    checks before each store.  A set's difference d is a sum of stored
+    entries with nonnegative weights: C(steps, i) on u's entry shifted
+    down i limbs, 1 on each other part.  The weights total some w with
+    2w < 2^G (as _build takes G), so each limb of d, taken on its own, is
+    below w * 2^(width - G), and each limb of d + (d >> width), which is
+    p_t one limb down, below 2w * 2^(width - G) <= 2^width.  Packing is
+    linear, and each of these limb-by-limb values (and those of every
+    partial sum, all terms being >= 0) lies in [0, 2^width): it is the
+    int's own base-2^width digit.  So the int arithmetic carries nothing
+    across a limb, and each p_t comes out exact; one whose limbs reach
+    2^(width - G) could let a later step carry, so it is not stored.
+    """
+    top = sets[-1][-1]
+    high = ((1 << guard_bits) - 1) << (width - guard_bits)
+    guard = int.from_bytes(high.to_bytes(width // 8, "little") * top, "little")
+    table = {0: 1}
     for t in sets:
-        m, u = t[-1], t[:-1]
-        shifted_u = _shift_center(list(table[u]), m - 1 - (u[-1] if u else 0))
-        others = [table[part] for _, part in _parts(t)[:-1]]  # the last part is u
-        difference = list(map(sum, itertools.zip_longest(shifted_u, *others, fillvalue=0)))
+        m = t[-1]
+        bits = 0
+        for v in t:
+            bits |= 1 << v
+        u = bits ^ 1 << m
+        d = a = table[u]
+        below = 0  # the element before the pivot, 0 at the first
+        for p in t[:-1]:
+            low = bits & ((1 << p) - 1)
+            lowered = low | (bits >> p) << (p - 1)
+            if p - below > 2:  # else the lowered part has adjacent elements or 1
+                d += table[lowered]
+            d += table[lowered ^ 1 << (p - 1)]
+            below = p
+        if m - below > 2:
+            d += table[u | 1 << (m - 1)]
+        # u at max(u) = below, shifted to m - 1
+        row = rows[m][below]
+        for i in range(1, len(row)):
+            d += row[i] * (a >> i * width)
         # p_t at m from its difference d at m - 1 and p_t(m) = 0: c_0 = 0
-        # and c_j = d_(j-1) + d_j, one Pascal step from m - 1 to m
-        coeffs = [0, *map(add, difference, difference[1:]), difference[-1]]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        # CPython's int addition allocates a digit more than a sum may need,
-        # and a sweep holds every entry until it ends: c // 1 copies each at
-        # its exact size (peak RSS of a sweep to M = 24, CPython 3.11:
-        # 118 MB without the copy, 100 MB with it)
-        table[t] = tuple([c // 1 for c in coeffs])
-        yield t, table[t]
+        # and c_j = d_(j-1) + d_j, one Pascal step from m - 1 to m; that is
+        # (d << width) + ((d >> width) << width), in three passes
+        packed = (d + (d >> width)) << width
+        if m < top:
+            if packed & guard:
+                yield t, None
+                return
+            table[bits] = packed
+        yield t, packed
+
+
+def _limbs(packed: int, width: int, spill: int) -> tuple[int, ...]:
+    """The limbs of packed, width (a multiple of 64) bits each, lowest
+    first, up to the last nonzero one; spill has the bits of each limb
+    above its lowest 64.  O(size) whatever the width."""
+    count = -(-packed.bit_length() // width)
+    data = packed.to_bytes(count * width // 8, "little")
+    if not packed & spill:  # every limb fits its lowest 64 bits
+        return struct.unpack(f"<{count * width // 64}Q", data)[::width // 64]
+    size = width // 8
+    return tuple([int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)])
 
 
 def count_via_formula(positions: Iterable[int], n: int) -> int:
@@ -172,16 +278,19 @@ def count_via_formula(positions: Iterable[int], n: int) -> int:
     return poly.evaluate(n) * 2 ** (n - len(s) - 1)
 
 
-def _recursion_counts(s: PeakSet) -> Iterator[int]:
+def _recursion_counts(s: PeakSet, closure: dict | None = None) -> Iterator[int]:
     """count(s, q) for q = 1, 2, ... for a canonical s (0 if inadmissible).
 
     count(t, q) = 2 count(t, q-1) + the sum over derived pairs of
     2 count(lowered, q-1) + count(omitted, q-1) when max(t) < q, else 0,
-    over the closure of s under derived sets, one length at a time.
+    over the closure of s under derived sets (closure, when the caller has
+    walked it already), one length at a time.
     """
     if _violation(s) is not None:
         yield from itertools.repeat(0)  # never returns
-    terms = {t: [(2, t), *rule] for t, rule in _closure(s).items()}
+    if closure is None:
+        closure = _closure(s)
+    terms = {t: [(2, t), *rule] for t, rule in closure.items()}
     counts = {t: 0 if t else 1 for t in terms}
     for q in itertools.count(2):
         yield counts[s]

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from peakpoly.engine import _build, _peak_coefficients, _recursion_counts
+from peakpoly.engine import _build, _closure, _peak_coefficients, _recursion_counts
 from peakpoly.intpoly import BinomialPolynomial, _shift_center
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
@@ -164,7 +164,8 @@ def _witnesses(name: str, raw: tuple[int, ...], m: int,
 
 
 def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int = 0,
-            n_max: int = 0, max_n: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
+            n_max: int = 0, max_n: int = DEFAULT_ENUMERATION_CAP,
+            closure: dict | None = None) -> VerificationReport:
     """The report of the named checks, in the given order (duplicates
     included), on the canonical set s and the coefficients raw of p_s at
     centre max(s): each verdict is read off the witness that _witnesses
@@ -173,8 +174,9 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
     s must be nonempty and admissible when a check other than counts is
     named; for an inadmissible s (counts only) raw is () and the report's
     coefficients are zeros.  Positivity runs through centre k_max, counts
-    through length n_max.  Nothing here validates s: the public callers do
-    that once.
+    through length n_max, on the down-closure of s when the caller passes
+    the one it walked for raw.  Nothing here validates s: the public
+    callers do that once.
     """
     m = s[-1] if s else 0
     # j = 0..m: cut after j = m, or padded with zeros (for a peak
@@ -197,7 +199,7 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
             # every n here is >= m + 1, so an admissible s is n-admissible,
             # and raw = () gives the formula count 0 for an inadmissible one
             formula_poly = BinomialPolynomial(m, raw)
-            recursion_column = itertools.islice(_recursion_counts(s), m, None)
+            recursion_column = itertools.islice(_recursion_counts(s, closure), m, None)
             for n, recursion in zip(range(m + 1, n_max + 1), recursion_column):
                 formula = formula_poly.evaluate(n) * 2 ** (n - len(s) - 1)
                 brute = enumerate_by_peak_set(n, max_n).get(s, 0) if n <= max_n else None
@@ -276,8 +278,10 @@ def verify_set(positions: Iterable[int],
     elif n_max < m + 1 and "counts" in names:  # else counts would compare no length
         bound = f"max(S) + 1 = {m + 1}" if s else "1"
         raise ValueError(f"n_max must be >= {bound}, got {n_max}")
-    raw = () if counts_only and _violation(s) is not None else _peak_coefficients(s)
-    return _verify(s, raw, names, m + k_extra, n_max, max_n)
+    if counts_only and _violation(s) is not None:
+        return _verify(s, (), names, m + k_extra, n_max, max_n)
+    closure = _closure(s)  # one walk, for the build and for the recursion
+    return _verify(s, _peak_coefficients(s, closure), names, m + k_extra, n_max, max_n, closure)
 
 
 @dataclass(frozen=True)
@@ -309,15 +313,16 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     """Verify every structurally admissible nonempty peak set with
     max(S) <= m_max, in the fixed (max, lexicographic) set order.
 
-    Every set runs in this process, which builds each polynomial once;
-    workers is only checked to be >= 1 (worker processes each rebuilt
-    every polynomial, which cost more than they saved).  The sets are
-    canonical and admissible by construction, so none is validated.  Each
-    set's derived sets have smaller maxima and so come earlier in this
-    order: each set is built from their entries just before its checks,
-    with no down-closure walk, in one table dropped when the sweep
-    returns.  A set's checks decide only its witnesses; the full report,
-    the one verify_set gives, is built only for a set with a witness.
+    workers is deprecated: it is only checked to be >= 1 and changes
+    nothing.  Every set runs in this process, which builds each polynomial
+    once (worker processes each rebuilt every polynomial, which cost more
+    than they saved).  The sets are canonical and admissible by
+    construction, so none is validated.  Each set's derived sets have
+    smaller maxima and so come earlier in this order: each set is built
+    from their entries just before its checks, with no down-closure walk,
+    in one table dropped when the sweep returns.  A set's checks decide
+    only its witnesses; the full report, the one verify_set gives, is
+    built only for a set with a witness.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")

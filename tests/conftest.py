@@ -12,8 +12,8 @@ def plant_coefficients(monkeypatch):
     build = engine._build
 
     def plant(change):
-        def planting(sets):
-            for t, raw in build(sets):
+        def planting(sets, *start):
+            for t, raw in build(sets, *start):
                 yield t, change(t, raw)
 
         for module in (engine, verify):

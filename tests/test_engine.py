@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import peakpoly.verify as verify
 from peakpoly.engine import (
     count_via_formula,
     count_via_recursion,
@@ -278,3 +279,86 @@ def test_engine_polynomials_are_integer_valued():
                 total += Fraction(c) * falling / math.factorial(j)
             assert total.denominator == 1
             assert p.evaluate(x) == total
+
+
+def _packed_singleton(k, width):
+    # p_{k}(n) = C(n - 1, k - 1) - 1, so c_j = C(k - 1, j) at centre k for
+    # j >= 1, and c_0 = 0; packed one limb per coefficient
+    return sum(math.comb(k - 1, j) << j * width for j in range(1, k))
+
+
+def test_a_too_narrow_limb_width_trips_the_guard_and_rebuilds_wider(monkeypatch):
+    import peakpoly.engine as engine
+    monkeypatch.setattr(engine, "_LIMB_BITS", 64)
+    packed, passes = engine._packed, []
+
+    def recording(sets, rows, width, guard_bits):
+        entries = []
+        passes.append((width, guard_bits, entries))
+        for t, entry in packed(sets, rows, width, guard_bits):
+            entries.append((t, entry))
+            yield t, entry
+
+    monkeypatch.setattr(engine, "_packed", recording)
+    p = peak_polynomial((200,))
+    assert p.degree == 199
+    assert all(p.evaluate(n) == math.comb(n - 1, 199) - 1 for n in range(200, 400))
+
+    # the 64-bit pass stops at the first set whose coefficients reach the
+    # guard bits, and every entry of either pass is exact
+    (narrow, guard_bits, first), (wide, _, second) = passes
+    assert narrow == 64 < wide
+    (k,), last = first[-1]
+    assert last is None
+    room = narrow - guard_bits
+    assert math.comb(k - 1, (k - 1) // 2).bit_length() > room
+    assert all(math.comb(j - 1, (j - 1) // 2).bit_length() <= room for (j,), _ in first[:-1])
+    assert all(entry == _packed_singleton(j, narrow) for (j,), entry in first[:-1])
+    assert [t for t, _ in second] == [(j,) for j in range(2, 201)]
+    assert all(entry == _packed_singleton(j, wide) for (j,), entry in second)
+
+    # a sweep whose stored coefficients outgrow 64 bits hands the checks
+    # the same coefficients, after one rebuild
+    handed = []
+    witnesses = verify._witnesses
+
+    def keeping(name, raw, m, k_max):
+        handed.append(raw)
+        return witnesses(name, raw, m, k_max)
+
+    monkeypatch.setattr(verify, "_witnesses", keeping)
+    passes.clear()
+    assert verify.sweep(21).failures == ()
+    (narrow, _, _), (wide, _, _) = passes
+    assert narrow == 64 < wide
+    narrow_handed = handed[:]
+    monkeypatch.setattr(engine, "_LIMB_BITS", 128)
+    handed.clear()
+    passes.clear()
+    verify.sweep(21)
+    assert [width for width, _, _ in passes] == [128]
+    assert narrow_handed == handed
+
+
+def test_a_width_too_small_for_the_data_never_hands_out_a_wrapped_tuple(monkeypatch):
+    # with 64 bits and no wider pass allowed, the build hands out each set
+    # that fits, exact, and then nothing: not one wrapped coefficient
+    import peakpoly.engine as engine
+    monkeypatch.setattr(engine, "_LIMB_BITS", 64)
+    packed, passes = engine._packed, []
+
+    def once(sets, rows, width, guard_bits):
+        if passes:
+            raise RuntimeError("no wider pass")
+        passes.append(width)
+        return packed(sets, rows, width, guard_bits)
+
+    monkeypatch.setattr(engine, "_packed", once)
+    handed = []
+    with pytest.raises(RuntimeError, match="no wider pass"):
+        for t, raw in engine._build([(k,) for k in range(2, 201)]):
+            handed.append((t, raw))
+    assert passes == [64]
+    assert 30 < len(handed) < 70
+    assert handed == [((k,), (0,) + tuple(math.comb(k - 1, j) for j in range(1, k)))
+                      for k in range(2, len(handed) + 2)]

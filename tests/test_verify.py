@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peakpoly.engine import peak_polynomial
-from peakpoly.intpoly import BinomialPolynomial
+from peakpoly.engine import derived_sets, peak_polynomial
+from peakpoly.intpoly import BinomialPolynomial, sum_polynomials
 from peakpoly.perms import InadmissibleSetError, structurally_admissible_sets
 from peakpoly.verify import (
     ALL_CHECKS,
@@ -127,7 +127,7 @@ def test_verdicts_come_from_witnesses(monkeypatch, plant_coefficients):
 
     # the planted tuple of test_structural_checks_report_witnesses fails four
     # checks (counts too: its formula leg disagrees) and passes logconcavity
-    monkeypatch.setattr(verify, "_peak_coefficients", lambda s: (1, 2, 0, 5))
+    monkeypatch.setattr(verify, "_peak_coefficients", lambda s, closure: (1, 2, 0, 5))
     report = verify_set((3,), ALL_CHECKS)
     assert _verdicts_match_witnesses(report)
     assert [c.name for c in report.checks if c.passed] == ["logconcavity"]
@@ -332,26 +332,60 @@ def test_sweep_validates_no_set(monkeypatch):
 
 def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     # every derived set has a smaller maximum, so the sweep's own (max, lex)
-    # order builds each set from entries already made, one shift per set
+    # order builds each set from entries already made: one pass of the
+    # packed table, one step per set
     import peakpoly.engine as engine
     unpatched = sweep(12)
 
     def refuse(*args):
         raise AssertionError("the sweep walked a down-closure")
 
-    shift = engine._shift_center
-    shifts = []
+    packed = engine._packed
+    passes, steps = [], []
 
-    def counting(coeffs, steps):
-        shifts.append(steps)
-        return shift(coeffs, steps)
+    def counting(sets, rows, width, guard_bits):
+        passes.append(width)
+        for t, entry in packed(sets, rows, width, guard_bits):
+            steps.append(t)
+            yield t, entry
 
     monkeypatch.setattr(engine, "_closure", refuse)
-    monkeypatch.setattr(engine, "_shift_center", counting)
+    monkeypatch.setattr(engine, "_packed", counting)
     patched = sweep(12)
     for field in ("m_max", "checks", "sets_checked", "failures"):
         assert getattr(patched, field) == getattr(unpatched, field)
-    assert len(shifts) == patched.sets_checked
+    assert len(passes) == 1
+    assert steps == structurally_admissible_sets(12)
+
+
+def test_sweep_coefficients_satisfy_the_first_difference_identity(monkeypatch):
+    # an independent reference for what the packed table hands the checks:
+    # each set's first difference is the sum of its derived sets'
+    # polynomials, in the public basis arithmetic (criterion 7, to m = 16),
+    # and p_S(max S) = 0; by induction from p_() = 1 that pins every entry
+    import peakpoly.verify as verify
+    built = {(): BinomialPolynomial(0, (1,))}
+    build = verify._build
+
+    def keeping(sets, *start):
+        for t, raw in build(sets, *start):
+            built[t] = BinomialPolynomial(t[-1], raw)
+            yield t, raw
+
+    monkeypatch.setattr(verify, "_build", keeping)
+    summary = sweep(16)
+    assert summary.sets_checked == len(built) - 1 == 1596
+    for s in structurally_admissible_sets(16):
+        m = s[-1]
+        parts = []
+        for pair in derived_sets(s):
+            if pair.lowered_admissible:
+                parts.append(built[pair.lowered])
+            parts.append(built[pair.omitted])
+        lhs = built[s].forward_difference()
+        rhs = sum_polynomials(parts).recenter(m)
+        assert lhs.center == rhs.center and lhs.coeffs == rhs.coeffs, s
+        assert built[s].evaluate(m) == 0 and built[s].coeffs[0] == 0, s
 
 
 def test_sweep_memo_equals_the_closure_build(monkeypatch):
@@ -433,3 +467,20 @@ def test_report_coefficients_pad_to_length_m_plus_one():
         assert report.coefficients[0] == 0
         assert report.coefficients[-1] == 0
         assert report.coefficients[:5] == peak_polynomial((3, 5)).coeffs
+
+
+def test_verify_set_walks_the_down_closure_once(monkeypatch):
+    # the build and the counts recursion share one walk
+    import peakpoly.engine as engine
+    import peakpoly.verify as verify
+    expected = verify_set((4, 6, 9), ALL_CHECKS, n_max=12).to_json_dict()
+    walk, walks = engine._closure, []
+
+    def counting(s):
+        walks.append(s)
+        return walk(s)
+
+    for module in (engine, verify):
+        monkeypatch.setattr(module, "_closure", counting)
+    assert verify_set((4, 6, 9), ALL_CHECKS, n_max=12).to_json_dict() == expected
+    assert walks == [(4, 6, 9)]
