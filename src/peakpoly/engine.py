@@ -125,9 +125,7 @@ def _peak_coefficients(s: PeakSet, closure: dict | None = None) -> tuple[int, ..
     maximum, so s, the one set of maximum max(s), comes last, and it is
     the only set handed out.
     """
-    if closure is None:
-        closure = _closure(s)
-    sets = sorted(filter(None, closure), key=lambda t: t[-1])
+    sets = sorted(filter(None, _closure(s) if closure is None else closure), key=lambda t: t[-1])
     coeffs = (1,)
     for _, coeffs in _build(sets, len(sets) - 1):
         pass
@@ -160,89 +158,103 @@ def _build(sets: Sequence[PeakSet],
     """
     if not sets:
         return
-    # rows[m][max(u)]: C(steps, i) for the shift of u to m - 1, up to the
-    # last i that can meet a limb of u (an entry of maximum m >= 1 has at
-    # most m limbs: each step adds one to those of its parts)
-    rows: dict[int, dict[int, list[int]]] = {}
+    # G, with twice the largest total weight of one step below 2^G: the
+    # shift of u to m - 1 weighs C(steps, i) summed up to the last i that
+    # can meet a limb of u (an entry of maximum m >= 1 has at most m limbs:
+    # each step adds one to those of its parts), and each of the at most
+    # 2|t| - 1 other parts weighs 1
+    weight = 0
     for m, below in {(t[-1], t[-2] if len(t) > 1 else 0) for t in sets}:
         steps = m - 1 - below
-        rows.setdefault(m, {})[below] = binomial_row(steps, min(steps, max(below - 1, 0)))
-    # G, with twice the largest total weight of one step (at most 2|t| - 1
-    # parts besides u) below 2^G
-    weight = max(sum(row) for level in rows.values() for row in level.values())
+        weight = max(weight, sum(binomial_row(steps, min(steps, max(below - 1, 0)))))
     guard_bits = (2 * (weight + 2 * max(map(len, sets)) - 1)).bit_length()
     width = -(-max(_LIMB_BITS, guard_bits + 1) // 64) * 64
     top = sets[-1][-1]
     while True:
-        # the bits of each limb above its lowest 64, over the top's limbs
-        spill = int.from_bytes((bytes(8) + b"\xff" * (width // 8 - 8)) * top, "little")
-        for i, (t, packed) in enumerate(_packed(sets, rows, width, guard_bits)):
+        for i, (t, packed) in enumerate(_packed(sets, width, guard_bits)):
             if packed is None:
                 break
             if i >= start:  # each set is handed out once, whatever the rebuilds
                 start += 1
-                yield t, _limbs(packed, width, spill)
+                yield t, _limbs(packed, width)
         else:
             return
         # t outgrew the width.  Bit-lengths grow about linearly in the
-        # maximum, so scale the room to the top maximum, with a quarter to
-        # spare, and build the whole call again
-        room = (width - guard_bits) * top * 5 // (4 * t[-1])
+        # maximum, a little faster at first, so scale the room to the top
+        # maximum, with a half to spare, and build the whole call again
+        room = (width - guard_bits) * top * 3 // (2 * t[-1])
         width = max(width + 64, -(-(guard_bits + room) // 64) * 64)
 
 
-def _packed(sets: Sequence[PeakSet], rows: dict[int, dict[int, list[int]]],
-            width: int, guard_bits: int) -> Iterator[tuple[PeakSet, int | None]]:
+def _packed(sets: Sequence[PeakSet], width: int,
+            guard_bits: int) -> Iterator[tuple[PeakSet, int | None]]:
     """(t, p_t packed into one int) for each t of sets, in order, until a
     set that later sets read does not fit: for that set (t, None), and no
     more.
 
     Limb j of an entry, width bits wide, holds c_j at centre max(t), and
-    the table is keyed by bitmask, bit v set for each v of t.  Each derived
+    entries are keyed by bitmask, bit v set for each v of t.  Each derived
     part's key then comes from shifts of t's: at pivot p, with low the bits
     of t below p, the lowered part is low | (t >> p) << (p - 1), and the
     omitted part is that without its bit p - 1.  No later set in the call
     reads a set of the top maximum, so none of those is stored or guarded.
 
+    The parts of t other than u have maximum m - 1, so an entry of maximum
+    k is read as one of them only by sets of maximum k + 1.  As a u it is
+    read first by u + (k + 2,), if at all, and then one level up each
+    time: each reader's lowered part at its top is the reader one level
+    down.  So an entry stays in its level's dict until the sets of maximum
+    k + 2 are built, and is dropped then unless one of them read it as u;
+    a u's entry, once read, moves to kept, shifted to the centre m - 1 of
+    its last reader, and its next reader moves it one Pascal step on.  A
+    chain of single sets holds three entries, not all of them.
+
     Why no limb ever carries into the next: the entry of () is 1 and every
     stored limb is below 2^(width - G), G = guard_bits, as the guard mask
-    checks before each store.  A set's difference d is a sum of stored
-    entries with nonnegative weights: C(steps, i) on u's entry shifted
-    down i limbs, 1 on each other part.  The weights total some w with
-    2w < 2^G (as _build takes G), so each limb of d, taken on its own, is
-    below w * 2^(width - G), and each limb of d + (d >> width), which is
-    p_t one limb down, below 2w * 2^(width - G) <= 2^width.  Packing is
-    linear, and each of these limb-by-limb values (and those of every
-    partial sum, all terms being >= 0) lies in [0, 2^width): it is the
-    int's own base-2^width digit.  So the int arithmetic carries nothing
-    across a limb, and each p_t comes out exact; one whose limbs reach
-    2^(width - G) could let a later step carry, so it is not stored.
+    checks before each store.  A set's difference d is a sum with
+    nonnegative weights of stored entries, shifted down whole limbs: u's
+    entry shifted from max(u) to m - 1 (C(steps, i) on it shifted down i
+    limbs: the Pascal steps compose to that, term by term), and 1 on each
+    other part.  The weights total some w with 2w < 2^G (as _build takes
+    G), so each limb of d, taken on its own, is below w * 2^(width - G),
+    as is each limb of u's kept shift, and each limb of d + (d >> width),
+    which is p_t one limb down, is below 2w * 2^(width - G) <= 2^width.
+    Packing is linear, and each of these limb-by-limb values (and those of
+    every partial sum, all terms being >= 0) lies in [0, 2^width): it is
+    the int's own base-2^width digit.  So the int arithmetic carries
+    nothing across a limb, and each p_t comes out exact; one whose limbs
+    reach 2^(width - G) could let a later step carry, so it is not stored.
     """
     top = sets[-1][-1]
     high = ((1 << guard_bits) - 1) << (width - guard_bits)
     guard = int.from_bytes(high.to_bytes(width // 8, "little") * top, "little")
-    table = {0: 1}
+    kept = {0: 1}  # each u's entry, shifted to the centre of its last reader
+    levels: dict[int, dict[int, int]] = {}  # by maximum, entries not yet read as u
+    m = 0
     for t in sets:
-        m = t[-1]
+        if t[-1] != m:
+            m = t[-1]
+            for k in [k for k in levels if k < m - 2]:
+                del levels[k]
+            parts = levels.get(m - 1, {})
+            stored = levels[m] = {}
         bits = 0
         for v in t:
             bits |= 1 << v
+        # u one step on, to m - 1
         u = bits ^ 1 << m
-        d = a = table[u]
+        a = kept[u] if u in kept else levels[t[-2]].pop(u)
+        kept[u] = d = a + (a >> width)
         below = 0  # the element before the pivot, 0 at the first
         for p in t[:-1]:
             low = bits & ((1 << p) - 1)
             lowered = low | (bits >> p) << (p - 1)
             if p - below > 2:  # else the lowered part has adjacent elements or 1
-                d += table[lowered]
-            d += table[lowered ^ 1 << (p - 1)]
+                d += parts[lowered]
+            d += parts[lowered ^ 1 << (p - 1)]
             below = p
         if m - below > 2:
-            d += table[u | 1 << (m - 1)]
-        # u at max(u) = below, shifted to m - 1
-        row = rows[m][below]
-        for i in range(1, len(row)):
-            d += row[i] * (a >> i * width)
+            d += parts[u | 1 << (m - 1)]
         # p_t at m from its difference d at m - 1 and p_t(m) = 0: c_0 = 0
         # and c_j = d_(j-1) + d_j, one Pascal step from m - 1 to m; that is
         # (d << width) + ((d >> width) << width), in three passes
@@ -251,18 +263,25 @@ def _packed(sets: Sequence[PeakSet], rows: dict[int, dict[int, list[int]]],
             if packed & guard:
                 yield t, None
                 return
-            table[bits] = packed
+            stored[bits] = packed
         yield t, packed
 
 
-def _limbs(packed: int, width: int, spill: int) -> tuple[int, ...]:
+def _limbs(packed: int, width: int) -> tuple[int, ...]:
     """The limbs of packed, width (a multiple of 64) bits each, lowest
-    first, up to the last nonzero one; spill has the bits of each limb
-    above its lowest 64.  O(size) whatever the width."""
+    first, up to the last nonzero one; O(size) whatever the width.
+
+    Up to maximum 22 every coefficient fits one 64-bit word, and then one
+    unpack of the words gives the limbs: the sweep workload's wall_s is
+    0.229 s this way against 0.295 s with one int.from_bytes per limb
+    (BENCH_sweep_unpack.json).
+    """
     count = -(-packed.bit_length() // width)
     data = packed.to_bytes(count * width // 8, "little")
-    if not packed & spill:  # every limb fits its lowest 64 bits
-        return struct.unpack(f"<{count * width // 64}Q", data)[::width // 64]
+    words = struct.unpack(f"<{len(data) // 8}Q", data)
+    low = words[::width // 64]
+    if sum(low) == sum(words):  # the words above each limb's lowest are 0
+        return low
     size = width // 8
     return tuple([int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)])
 

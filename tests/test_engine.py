@@ -150,8 +150,10 @@ def test_triple_agreement_at_oracle_limit(n):
 
 def test_first_difference_identity_as_polynomials():
     # the first difference of each peak polynomial equals the sum of its
-    # derived-set polynomials, coefficient for coefficient
-    for s in structurally_admissible_sets(8):
+    # derived-set polynomials, coefficient for coefficient; the deep sets'
+    # builds read each u's kept shift many levels on and outgrow the
+    # starting limb width, and each side is built by its own call
+    for s in (*structurally_admissible_sets(8), (20, 45), (3, 9, 30), (2, 5, 40), (90,)):
         m = s[-1]
         parts = []
         for pair in derived_sets(s):
@@ -251,6 +253,19 @@ def test_deep_set_builds_without_recursion():
     assert count_via_formula((1200,), 1201) == count_via_recursion((1200,), 1201)
 
 
+def test_a_chain_build_keeps_a_few_entries_not_all():
+    # {k} is read by {k + 1} only, so the build of {600} drops each entry
+    # two levels on; keeping all 599, each of up to 600 limbs, takes ~19 MB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        peak_polynomial((600,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
 def test_counts_match_for_larger_n_without_enumeration():
     # the two non-enumerative routes must agree far beyond the scan cap
     for s in ((2,), (4, 6), (2, 5, 9)):
@@ -292,10 +307,10 @@ def test_a_too_narrow_limb_width_trips_the_guard_and_rebuilds_wider(monkeypatch)
     monkeypatch.setattr(engine, "_LIMB_BITS", 64)
     packed, passes = engine._packed, []
 
-    def recording(sets, rows, width, guard_bits):
+    def recording(sets, width, guard_bits):
         entries = []
         passes.append((width, guard_bits, entries))
-        for t, entry in packed(sets, rows, width, guard_bits):
+        for t, entry in packed(sets, width, guard_bits):
             entries.append((t, entry))
             yield t, entry
 
@@ -347,11 +362,11 @@ def test_a_width_too_small_for_the_data_never_hands_out_a_wrapped_tuple(monkeypa
     monkeypatch.setattr(engine, "_LIMB_BITS", 64)
     packed, passes = engine._packed, []
 
-    def once(sets, rows, width, guard_bits):
+    def once(sets, width, guard_bits):
         if passes:
             raise RuntimeError("no wider pass")
         passes.append(width)
-        return packed(sets, rows, width, guard_bits)
+        return packed(sets, width, guard_bits)
 
     monkeypatch.setattr(engine, "_packed", once)
     handed = []

@@ -343,9 +343,9 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     packed = engine._packed
     passes, steps = [], []
 
-    def counting(sets, rows, width, guard_bits):
+    def counting(sets, width, guard_bits):
         passes.append(width)
-        for t, entry in packed(sets, rows, width, guard_bits):
+        for t, entry in packed(sets, width, guard_bits):
             steps.append(t)
             yield t, entry
 
