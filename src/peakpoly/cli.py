@@ -371,8 +371,11 @@ def main(argv=None) -> int:
     except InadmissibleSetError as exc:
         print(f"error: inadmissible peak set: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, EnumerationCapError, ValueError, OSError) as exc:
+    except (_UsageError, EnumerationCapError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its message is usually empty
+        print("error: out of memory", file=sys.stderr)
         return 1
     finally:
         if limit:

@@ -153,8 +153,9 @@ def _build(sets: Sequence[PeakSet],
     come in increasing maximum.
 
     _packed does that arithmetic on whole polynomials, each packed into
-    one int of fixed-width limbs; here the width is chosen, widened until
-    every stored entry fits, and each entry handed out as a tuple.
+    one int of fixed-width limbs; here the width is chosen, widened once,
+    to _limb_bound, if a stored entry does not fit, and each entry handed
+    out as a tuple.
     """
     if not sets:
         return
@@ -163,13 +164,12 @@ def _build(sets: Sequence[PeakSet],
     # can meet a limb of u (an entry of maximum m >= 1 has at most m limbs:
     # each step adds one to those of its parts), and each of the at most
     # 2|t| - 1 other parts weighs 1
-    weight = 0
+    weights = {}  # u's weight, by (max(t), max(u))
     for m, below in {(t[-1], t[-2] if len(t) > 1 else 0) for t in sets}:
         steps = m - 1 - below
-        weight = max(weight, sum(binomial_row(steps, min(steps, max(below - 1, 0)))))
-    guard_bits = (2 * (weight + 2 * max(map(len, sets)) - 1)).bit_length()
+        weights[m, below] = sum(binomial_row(steps, min(steps, max(below - 1, 0))))
+    guard_bits = (2 * (max(weights.values()) + 2 * max(map(len, sets)) - 1)).bit_length()
     width = -(-max(_LIMB_BITS, guard_bits + 1) // 64) * 64
-    top = sets[-1][-1]
     while True:
         for i, (t, packed) in enumerate(_packed(sets, width, guard_bits)):
             if packed is None:
@@ -179,11 +179,31 @@ def _build(sets: Sequence[PeakSet],
                 yield t, _limbs(packed, width)
         else:
             return
-        # t outgrew the width.  Bit-lengths grow about linearly in the
-        # maximum, a little faster at first, so scale the room to the top
-        # maximum, with a half to spare, and build the whole call again
-        room = (width - guard_bits) * top * 3 // (2 * t[-1])
+        # t outgrew the width: build the whole call again, wide enough
+        # for the bound on every stored limb, so it builds twice at most
+        room = _limb_bound(sets, weights).bit_length()
         width = max(width + 64, -(-(guard_bits + room) // 64) * 64)
+
+
+def _limb_bound(sets: Sequence[PeakSet], weights: dict[tuple[int, int], int]) -> int:
+    """A bound on every limb that _packed stores for sets: for each t, the
+    bound b_t = 2 (w b_u + the sum of b over t's other parts), from
+    b_() = 1, where w = weights[max(t), max(u)] is the weight of u's shift.
+
+    Every term of a step is >= 0, so each limb of d is at most the sum of
+    each part's limbs times its weight, and c_j = d_(j-1) + d_j at most
+    twice that.  It is within a few bits of the widest limb: 473 bits
+    against 469 for the closure of {120, 240}.
+    """
+    top = sets[-1][-1]
+    bound = {(): 1}
+    for t in sets:
+        u = t[:-1]
+        b = weights[t[-1], u[-1] if u else 0] * bound[u]
+        for _, part in _parts(t)[:-1]:
+            b += bound[part]
+        bound[t] = 2 * b
+    return max([b for t, b in bound.items() if t and t[-1] < top], default=1)
 
 
 def _packed(sets: Sequence[PeakSet], width: int,

@@ -227,22 +227,20 @@ def permutations_with_peak_set(positions: Iterable[int], n: int,
     return group_permutations_by_peak_set(n, (s,), max_n=max_n)[s]
 
 
-def _sparse_subsets(lo: int, hi: int):
-    """Subsets of {lo..hi} with no two consecutive members, lexicographically."""
-    yield ()
-    for first in range(lo, hi + 1):
-        for rest in _sparse_subsets(first + 2, hi):
-            yield (first,) + rest
-
-
 def structurally_admissible_sets(max_position: int) -> list[PeakSet]:
     """Every nonempty structurally admissible peak set with max <= max_position.
 
     Ordered by (max position, lexicographic positions), which is the fixed
-    report order used by the sweep machinery.
+    report order used by the sweep machinery.  Built level by level: the
+    sets of maximum m are m appended to () and to each set of maximum at
+    most m - 2, sorted.
     """
     out: list[PeakSet] = []
+    below: list[PeakSet] = [()]  # () and every set with max <= m - 2
+    previous: list[PeakSet] = []  # the sets of maximum m - 1
     for m in range(2, max_position + 1):
-        block = [rest + (m,) for rest in _sparse_subsets(2, m - 2)]
-        out.extend(sorted(block))
+        level = sorted([t + (m,) for t in below])
+        out += level
+        below += previous
+        previous = level
     return out

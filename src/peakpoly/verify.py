@@ -13,15 +13,18 @@ check) and read the coefficients once; one private function then builds
 the report of the selected checks on the canonical set and its
 coefficients.  Each check decides only its witness, None when it holds,
 in one place, and every verdict in a report is read off that witness.
-The sweep, whose sets are canonical and admissible by construction, asks
-for the witnesses of each set's coefficients as the engine builds them,
-and builds a report only for a set that has one: every peak polynomial
-passes, so a sweep that finds nothing builds no report.
+The sweep, whose sets are canonical and admissible by construction,
+first puts each set's coefficients, as the engine builds them, through a
+quick test (_cleared) that only a set with no witness can pass.  Only a
+set that fails it is asked for its witnesses, and only a set that has
+one gets a report: every peak polynomial clears the quick test, so a
+sweep that finds nothing scans no witness and builds no report.
 """
 
 import itertools
 import time
 from dataclasses import dataclass, field
+from operator import ge, mul
 from typing import Iterable
 
 from peakpoly.engine import _build, _closure, _peak_coefficients, _recursion_counts
@@ -161,6 +164,24 @@ def _witnesses(name: str, raw: tuple[int, ...], m: int,
     # c_(j+1) = 0 and no j can fail, so raw needs no padding
     return [("logconcavity", next((j for j in range(2, min(m, len(raw)) - 1)
                                    if raw[j] ** 2 < raw[j - 1] * raw[j + 1]), None))]
+
+
+def _cleared(raw: tuple[int, ...], m: int, logconcavity: bool) -> bool:
+    """True only when every witness that _witnesses gives for raw at
+    centre m >= 1 is None, for positivity and, if logconcavity, for it
+    too: the sweep's quick test, two passes at C level, before any witness
+    scan.
+
+    raw of length m with c_0 = 0 and c_1..c_(m-1) > 0 clears positivity:
+    the scan stops at centre m, nothing lies past degree m - 1, and
+    p(m) = 0.  On such a raw, log-concavity reads c_j^2 >= c_(j-1) c_(j+1)
+    for j = 2..m-2, the witness range.  False says nothing: the caller
+    asks _witnesses.
+    """
+    if len(raw) != m or raw[0] or min(raw[1:], default=0) <= 0:
+        return False
+    mid = raw[2:m - 1]
+    return not logconcavity or all(map(ge, map(mul, mid, mid), map(mul, raw[1:m - 2], raw[3:m])))
 
 
 def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int = 0,
@@ -320,21 +341,28 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     construction, so none is validated.  Each set's derived sets have
     smaller maxima and so come earlier in this order: each set is built
     from their entries just before its checks, with no down-closure walk,
-    in one table dropped when the sweep returns.  A set's checks decide
-    only its witnesses; the full report, the one verify_set gives, is
-    built only for a set with a witness.
+    in one table dropped when the sweep returns.  A set whose coefficients
+    are c_0 = 0 and c_1..c_(m-1) > 0, and, with logconcavity selected,
+    log-concave, is cleared by two C-level passes over them (_cleared).
+    Any other set is decided by its witnesses, and the full report, the
+    one verify_set gives, is built only for a set with a witness.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     names = _check_names(checks, SWEEP_CHECKS)
+    if k_extra < 0 and "positivity" in names:
+        raise ValueError(f"k_extra must be >= 0, got {k_extra}")
 
+    logconcavity = "logconcavity" in names
     sets = structurally_admissible_sets(m_max)
     start = time.perf_counter()
     failures = []
     for s, raw in _build(sets):
         m = s[-1]
+        if _cleared(raw, m, logconcavity):
+            continue
         if any(witness is not None for name in names
                for _, witness in _witnesses(name, raw, m, m + k_extra)):
             failures.append(_verify(s, raw, names, m + k_extra))

@@ -392,3 +392,16 @@ def test_env_var_overrides_enumeration_cap():
                          "--enum-cap", "4",
                          env_extra={"PEAKPOLY_ENUM_CAP": "3"})
     assert result.returncode == 0
+
+
+def test_running_out_of_memory_or_depth_exits_1_with_one_error_line(capsys, monkeypatch):
+    # exit 1, as the uncaught error gave, but one error line, not a traceback
+    for error, line in ((MemoryError(), "error: out of memory\n"),
+                        (RecursionError("maximum recursion depth exceeded"),
+                         "error: maximum recursion depth exceeded\n")):
+        def raising(args):
+            raise error
+
+        monkeypatch.setattr("peakpoly.cli._cmd_sweep", raising)
+        code, out, err = run_cli(capsys, "sweep", "--max-m", "5")
+        assert (code, out, err) == (1, "", line)

@@ -335,13 +335,14 @@ def test_a_too_narrow_limb_width_trips_the_guard_and_rebuilds_wider(monkeypatch)
     # a sweep whose stored coefficients outgrow 64 bits hands the checks
     # the same coefficients, after one rebuild
     handed = []
-    witnesses = verify._witnesses
+    build = verify._build
 
-    def keeping(name, raw, m, k_max):
-        handed.append(raw)
-        return witnesses(name, raw, m, k_max)
+    def keeping(sets, *start):
+        for t, raw in build(sets, *start):
+            handed.append(raw)
+            yield t, raw
 
-    monkeypatch.setattr(verify, "_witnesses", keeping)
+    monkeypatch.setattr(verify, "_build", keeping)
     passes.clear()
     assert verify.sweep(21).failures == ()
     (narrow, _, _), (wide, _, _) = passes
@@ -352,7 +353,55 @@ def test_a_too_narrow_limb_width_trips_the_guard_and_rebuilds_wider(monkeypatch)
     passes.clear()
     verify.sweep(21)
     assert [width for width, _, _ in passes] == [128]
+    assert len(handed) == len(structurally_admissible_sets(21))
     assert narrow_handed == handed
+
+
+def test_a_guard_trip_rebuilds_once_wide_enough_for_the_limb_bound(monkeypatch):
+    # {120, 240} trips the first pass at a low level; the bound on every
+    # stored limb gives the width of the second pass, which cannot trip
+    import hashlib
+    import peakpoly.engine as engine
+    packed, passes = engine._packed, []
+
+    def limbs_from(k, width):
+        # a mask of every limb's bits from the k-th up
+        return int.from_bytes(((1 << width) - (1 << k)).to_bytes(width // 8, "little") * 240,
+                              "little")
+
+    def recording(sets, width, guard_bits):
+        # the OR of the stored entries (all but the set's own), cut to the
+        # limb bits from 8 below the bound's bit-length and from it
+        passes.append(ors := [width, guard_bits, 0, 0])
+        if width <= bits:
+            yield from packed(sets, width, guard_bits)
+            return
+        near, above = limbs_from(bits - 8, width), limbs_from(bits, width)
+        for t, entry in packed(sets, width, guard_bits):
+            if entry is not None and t != sets[-1]:
+                ors[2] |= entry & near
+                ors[3] |= entry & above
+            yield t, entry
+
+    bound, bounds = engine._limb_bound, []
+
+    def keeping(sets, weights):
+        bounds.append(bound(sets, weights))
+        return bounds[-1]
+
+    monkeypatch.setattr(engine, "_packed", recording)
+    monkeypatch.setattr(engine, "_limb_bound", keeping)
+    bits = 473  # the bound's bit-length; the widest coefficient of {120, 240} has 469
+    p = peak_polynomial((120, 240))
+    assert len(passes) == 2 and bounds[0].bit_length() == bits
+    # every stored limb of the second pass is below 2^473 <= 2^(width - G),
+    # and some reach 2^465
+    width, guard_bits, near, above = passes[1]
+    assert bits <= width - guard_bits and near != 0 and above == 0
+    # the coefficients that three passes, at widths 128, 512 and 832, built
+    assert p.degree == 239 and p.evaluate(240) == 0
+    digest = hashlib.sha256(",".join(map(str, p.coeffs)).encode()).hexdigest()
+    assert digest == "fcdfc052a2d6e356198f0eb441a79e02001956001e17dbb35b694d432abda2eb"
 
 
 def test_a_width_too_small_for_the_data_never_hands_out_a_wrapped_tuple(monkeypatch):

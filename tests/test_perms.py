@@ -165,15 +165,10 @@ def test_structurally_admissible_sets_up_to_6():
 
 
 def test_structurally_admissible_sets_ordering_and_count():
-    sets = structurally_admissible_sets(10)
-    keys = [(s[-1], s) for s in sets]
-    assert keys == sorted(keys)
-    assert len(set(sets)) == len(sets)
-    # sets with max <= m are counted by a Fibonacci-style recurrence;
-    # cross-check against direct filtering of all subsets of {2..10}
-    expected = 0
-    for size in range(1, 6):
-        for subset in itertools.combinations(range(2, 11), size):
-            if all(b - a >= 2 for a, b in zip(subset, subset[1:])):
-                expected += 1
-    assert len(sets) == expected
+    # the level-by-level build against every subset of {2..14}, filtered
+    # and put in (max, lexicographic) order, at every bound
+    subsets = (c for size in range(1, 8) for c in itertools.combinations(range(2, 15), size))
+    expected = sorted((s for s in subsets if all(b - a >= 2 for a, b in zip(s, s[1:]))),
+                      key=lambda s: (s[-1], s))
+    for m in range(-1, 15):
+        assert structurally_admissible_sets(m) == [s for s in expected if s[-1] <= m]

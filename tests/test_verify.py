@@ -12,6 +12,7 @@ from peakpoly.verify import (
     ALL_CHECKS,
     SWEEP_CHECKS,
     SweepSummary,
+    _cleared,
     _positivity_violation,
     _witnesses,
     sweep,
@@ -134,14 +135,15 @@ def test_verdicts_come_from_witnesses(monkeypatch, plant_coefficients):
 
 
 def test_a_passing_sweep_builds_no_report(monkeypatch, plant_coefficients):
-    # a set without a witness costs the sweep its checks' decisions only:
-    # no report, no CheckResult, no notes
+    # a peak polynomial clears the sweep's quick test, so a passing set
+    # costs no report, no CheckResult, no notes and no witness scan
     import peakpoly.verify as verify
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the sweep built a report for a passing set")
+        raise AssertionError("the sweep built a report or scanned a passing set")
 
-    for name in ("VerificationReport", "CheckResult", "_is_unimodal"):
+    for name in ("VerificationReport", "CheckResult", "_is_unimodal",
+                 "_witnesses", "_positivity_violation"):
         monkeypatch.setattr(verify, name, refuse)
     assert sweep(12).failures == ()
 
@@ -150,6 +152,42 @@ def test_a_passing_sweep_builds_no_report(monkeypatch, plant_coefficients):
     plant_coefficients(lambda t, raw: (0, 25, 50, 1, 18, 3) if t == (4, 6) else raw)
     failures = sweep(8).failures
     assert [r.to_json_dict() for r in failures] == [verify_set((4, 6)).to_json_dict()]
+
+
+def test_single_check_sweeps_keep_the_sets_that_check_fails(plant_coefficients):
+    # a set that fails only the unselected check clears the quick test or
+    # passes its witnesses; one that fails the selected check is kept
+    plant_coefficients(_spoil)
+    sets = structurally_admissible_sets(12)
+    for name in SWEEP_CHECKS:
+        reports = [verify_set(s, (name,)) for s in sets]
+        failing = tuple(report for report in reports if not report.passed)
+        assert 0 < len(failing) < len(reports)
+        assert sweep(12, (name,)).failures == failing
+
+
+@st.composite
+def _raw_and_centre(draw):
+    # arbitrary tuples, and tuples of length m with any c_0 and c_j >= -1,
+    # where the quick test's bounds are met or just missed
+    m = draw(st.integers(min_value=1, max_value=12))
+    raw = draw(st.one_of(
+        st.lists(st.integers(min_value=-3, max_value=6), max_size=15),
+        st.tuples(st.integers(min_value=-2, max_value=2),
+                  st.lists(st.integers(min_value=-1, max_value=40),
+                           min_size=m - 1, max_size=m - 1)).map(lambda c: [c[0], *c[1]])))
+    return tuple(raw), m
+
+
+@given(_raw_and_centre(), st.integers(min_value=0, max_value=5),
+       st.sampled_from([("positivity",), ("logconcavity",), SWEEP_CHECKS]))
+def test_the_quick_test_clears_only_sets_without_a_witness(raw_and_centre, k_extra, names):
+    # the sweep skips the witness scans of a set that its quick test
+    # clears, so a cleared set must have no witness for any selected check
+    raw, m = raw_and_centre
+    if _cleared(raw, m, "logconcavity" in names):
+        assert all(witness is None for name in names
+                   for _, witness in _witnesses(name, raw, m, m + k_extra))
 
 
 def test_positivity_of_peak_polynomials_needs_no_shift(monkeypatch):
@@ -394,16 +432,16 @@ def test_sweep_memo_equals_the_closure_build(monkeypatch):
     import peakpoly.verify as verify
     sets = structurally_admissible_sets(14)
     assert len(sets) == 609
-    original, handed = verify._witnesses, []
+    build, handed = verify._build, []
 
-    def recording(name, raw, m, k_max):
-        handed.append((name, raw, m))
-        return original(name, raw, m, k_max)
+    def recording(sets, *start):
+        for t, raw in build(sets, *start):
+            handed.append((t, raw))
+            yield t, raw
 
-    monkeypatch.setattr(verify, "_witnesses", recording)
+    monkeypatch.setattr(verify, "_build", recording)
     sweep(14)
-    assert handed == [(name, peak_polynomial(s).coeffs, s[-1])
-                      for s in sets for name in SWEEP_CHECKS]
+    assert handed == [(s, peak_polynomial(s).coeffs) for s in sets]
 
 
 def test_sweep_and_build_keep_no_table():
@@ -433,6 +471,10 @@ def test_sweep_validation():
         sweep(5, checks=())
     with pytest.raises(ValueError, match="m_max"):  # before the check names
         sweep(1, checks=("counts",))
+    # positivity needs k_max = max(S) + k_extra >= max(S)
+    with pytest.raises(ValueError, match="^k_extra must be >= 0, got -1$"):
+        sweep(5, k_extra=-1)
+    assert sweep(5, ("logconcavity",), k_extra=-1).failures == ()
 
 
 def test_positive_evaluation_beyond_the_root():
