@@ -132,12 +132,6 @@ def _peak_coefficients(s: PeakSet, closure: dict | None = None) -> tuple[int, ..
     return coeffs
 
 
-# Bits per limb of the packed table when a build starts, a multiple of 64.
-# A sweep to max(S) = 26 needs 80 bits of coefficient and 17 guard bits,
-# and each further level about 4 more: sweeps to about 30 fit
-_LIMB_BITS = 128
-
-
 def _build(sets: Sequence[PeakSet],
            start: int = 0) -> Iterator[tuple[PeakSet, tuple[int, ...]]]:
     """(t, coefficients of p_t at centre max(t), trimmed) for each t of
@@ -152,72 +146,48 @@ def _build(sets: Sequence[PeakSet],
     So each nonempty derived set must come earlier, as it does when sets
     come in increasing maximum.
 
-    _packed does that arithmetic on whole polynomials, each packed into
-    one int of fixed-width limbs; here the width is chosen, widened once,
-    to _limb_bound, if a stored entry does not fit, and each entry handed
-    out as a tuple.
+    _packed does that arithmetic in one pass on whole polynomials, each
+    packed into one int of limbs as wide as the least multiple of 64 bits
+    above _limb_bound; each entry is handed out as a tuple.
     """
     if not sets:
         return
-    # G, with twice the largest total weight of one step below 2^G: the
-    # shift of u to m - 1 weighs C(steps, i) summed up to the last i that
-    # can meet a limb of u (an entry of maximum m >= 1 has at most m limbs:
-    # each step adds one to those of its parts), and each of the at most
-    # 2|t| - 1 other parts weighs 1
-    weights = {}  # u's weight, by (max(t), max(u))
-    for m, below in {(t[-1], t[-2] if len(t) > 1 else 0) for t in sets}:
-        steps = m - 1 - below
-        weights[m, below] = sum(binomial_row(steps, min(steps, max(below - 1, 0))))
-    guard_bits = (2 * (max(weights.values()) + 2 * max(map(len, sets)) - 1)).bit_length()
-    width = -(-max(_LIMB_BITS, guard_bits + 1) // 64) * 64
-    while True:
-        for i, (t, packed) in enumerate(_packed(sets, width, guard_bits)):
-            if packed is None:
-                break
-            if i >= start:  # each set is handed out once, whatever the rebuilds
-                start += 1
-                yield t, _limbs(packed, width)
-        else:
-            return
-        # t outgrew the width: build the whole call again, wide enough
-        # for the bound on every stored limb, so it builds twice at most
-        room = _limb_bound(sets, weights).bit_length()
-        width = max(width + 64, -(-(guard_bits + room) // 64) * 64)
+    width = -(-_limb_bound(sets).bit_length() // 64) * 64
+    for t, packed in itertools.islice(_packed(sets, width), start, None):
+        yield t, _limbs(packed, width)
 
 
-def _limb_bound(sets: Sequence[PeakSet], weights: dict[tuple[int, int], int]) -> int:
-    """A bound on every limb that _packed stores for sets: for each t, the
-    bound b_t = 2 (w b_u + the sum of b over t's other parts), from
-    b_() = 1, where w = weights[max(t), max(u)] is the weight of u's shift.
+def _limb_bound(sets: Sequence[PeakSet]) -> int:
+    """The largest B(m, k) over the classes of sets by maximum m and size
+    k, from B(0, 0) = 1: a bound on every limb-by-limb value that _packed
+    makes for sets, their own coefficients included.
 
-    Every term of a step is >= 0, so each limb of d is at most the sum of
-    each part's limbs times its weight, and c_j = d_(j-1) + d_j at most
-    twice that.  It is within a few bits of the widest limb: 473 bits
-    against 469 for the closure of {120, 240}.
+    Every term of a step is >= 0.  A set of class (m, k) whose u has
+    maximum below has, besides u, at most k lowered parts of class
+    (m - 1, k) and k - 1 omitted ones of class (m - 1, k - 1), each of
+    weight 1; u's shift to m - 1 weighs w, the C(m - 1 - below, i) summed
+    up to the last i that meets one of u's limbs (at most below, or 1 for
+    ()).  So c_j = d_(j-1) + d_j is at most twice the weighted sum.
     """
-    top = sets[-1][-1]
-    bound = {(): 1}
-    for t in sets:
-        u = t[:-1]
-        b = weights[t[-1], u[-1] if u else 0] * bound[u]
-        for _, part in _parts(t)[:-1]:
-            b += bound[part]
-        bound[t] = 2 * b
-    return max([b for t, b in bound.items() if t and t[-1] < top], default=1)
+    bound = {(0, 0): 1}  # B by (maximum, size), filled in increasing maximum
+    for m, k, below in sorted({(t[-1], len(t), t[-2] if len(t) > 1 else 0) for t in sets}):
+        steps = m - 1 - below
+        w = sum(binomial_row(steps, min(steps, max(below - 1, 0))))
+        b = 2 * (w * bound[below, k - 1] + k * bound.get((m - 1, k), 0)
+                 + (k - 1) * bound.get((m - 1, k - 1), 0))
+        bound[m, k] = max(bound.get((m, k), 0), b)
+    return max(bound.values())
 
 
-def _packed(sets: Sequence[PeakSet], width: int,
-            guard_bits: int) -> Iterator[tuple[PeakSet, int | None]]:
-    """(t, p_t packed into one int) for each t of sets, in order, until a
-    set that later sets read does not fit: for that set (t, None), and no
-    more.
+def _packed(sets: Sequence[PeakSet], width: int) -> Iterator[tuple[PeakSet, int]]:
+    """(t, p_t packed into one int) for each t of sets, in order.
 
     Limb j of an entry, width bits wide, holds c_j at centre max(t), and
     entries are keyed by bitmask, bit v set for each v of t.  Each derived
     part's key then comes from shifts of t's: at pivot p, with low the bits
     of t below p, the lowered part is low | (t >> p) << (p - 1), and the
     omitted part is that without its bit p - 1.  No later set in the call
-    reads a set of the top maximum, so none of those is stored or guarded.
+    reads a set of the top maximum, so none of those is stored.
 
     The parts of t other than u have maximum m - 1, so an entry of maximum
     k is read as one of them only by sets of maximum k + 1.  As a u it is
@@ -229,25 +199,15 @@ def _packed(sets: Sequence[PeakSet], width: int,
     its last reader, and its next reader moves it one Pascal step on.  A
     chain of single sets holds three entries, not all of them.
 
-    Why no limb ever carries into the next: the entry of () is 1 and every
-    stored limb is below 2^(width - G), G = guard_bits, as the guard mask
-    checks before each store.  A set's difference d is a sum with
-    nonnegative weights of stored entries, shifted down whole limbs: u's
-    entry shifted from max(u) to m - 1 (C(steps, i) on it shifted down i
-    limbs: the Pascal steps compose to that, term by term), and 1 on each
-    other part.  The weights total some w with 2w < 2^G (as _build takes
-    G), so each limb of d, taken on its own, is below w * 2^(width - G),
-    as is each limb of u's kept shift, and each limb of d + (d >> width),
-    which is p_t one limb down, is below 2w * 2^(width - G) <= 2^width.
-    Packing is linear, and each of these limb-by-limb values (and those of
-    every partial sum, all terms being >= 0) lies in [0, 2^width): it is
-    the int's own base-2^width digit.  So the int arithmetic carries
-    nothing across a limb, and each p_t comes out exact; one whose limbs
-    reach 2^(width - G) could let a later step carry, so it is not stored.
+    Why no limb ever carries into the next: every term of a step is >= 0
+    (the entry of () is 1, u's shift weighs it by binomials, the other
+    parts by 1, and the antidifference adds neighbours), and each
+    limb-by-limb value of a step, partial sums included, is at most
+    _limb_bound(sets) < 2^width.  Packing is linear, so each is the int's
+    own base-2^width digit: the int arithmetic carries nothing across a
+    limb, and each p_t comes out exact.
     """
     top = sets[-1][-1]
-    high = ((1 << guard_bits) - 1) << (width - guard_bits)
-    guard = int.from_bytes(high.to_bytes(width // 8, "little") * top, "little")
     kept = {0: 1}  # each u's entry, shifted to the centre of its last reader
     levels: dict[int, dict[int, int]] = {}  # by maximum, entries not yet read as u
     m = 0
@@ -280,9 +240,6 @@ def _packed(sets: Sequence[PeakSet], width: int,
         # (d << width) + ((d >> width) << width), in three passes
         packed = (d + (d >> width)) << width
         if m < top:
-            if packed & guard:
-                yield t, None
-                return
             stored[bits] = packed
         yield t, packed
 
@@ -291,10 +248,10 @@ def _limbs(packed: int, width: int) -> tuple[int, ...]:
     """The limbs of packed, width (a multiple of 64) bits each, lowest
     first, up to the last nonzero one; O(size) whatever the width.
 
-    Up to maximum 22 every coefficient fits one 64-bit word, and then one
-    unpack of the words gives the limbs: the sweep workload's wall_s is
-    0.229 s this way against 0.295 s with one int.from_bytes per limb
-    (BENCH_sweep_unpack.json).
+    Up to maximum 22 every coefficient fits one 64-bit word (at width 64
+    each word is a limb), and then one unpack of the words gives the
+    limbs: the sweep workload's wall_s is 0.229 s this way against
+    0.295 s with one int.from_bytes per limb (BENCH_sweep_unpack.json).
     """
     count = -(-packed.bit_length() // width)
     data = packed.to_bytes(count * width // 8, "little")

@@ -16,9 +16,9 @@ in one place, and every verdict in a report is read off that witness.
 The sweep, whose sets are canonical and admissible by construction,
 first puts each set's coefficients, as the engine builds them, through a
 quick test (_cleared) that only a set with no witness can pass.  Only a
-set that fails it is asked for its witnesses, and only a set that has
-one gets a report: every peak polynomial clears the quick test, so a
-sweep that finds nothing scans no witness and builds no report.
+set that fails it gets a report, kept if one of its checks fails: every
+peak polynomial clears the quick test, so a sweep that finds nothing
+scans no witness and builds no report.
 """
 
 import itertools
@@ -344,8 +344,8 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     in one table dropped when the sweep returns.  A set whose coefficients
     are c_0 = 0 and c_1..c_(m-1) > 0, and, with logconcavity selected,
     log-concave, is cleared by two C-level passes over them (_cleared).
-    Any other set is decided by its witnesses, and the full report, the
-    one verify_set gives, is built only for a set with a witness.
+    Any other set gets the full report, the one verify_set gives, and is
+    kept when a check in it fails.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -360,11 +360,9 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     start = time.perf_counter()
     failures = []
     for s, raw in _build(sets):
-        m = s[-1]
-        if _cleared(raw, m, logconcavity):
-            continue
-        if any(witness is not None for name in names
-               for _, witness in _witnesses(name, raw, m, m + k_extra)):
-            failures.append(_verify(s, raw, names, m + k_extra))
+        if not _cleared(raw, s[-1], logconcavity):
+            report = _verify(s, raw, names, s[-1] + k_extra)
+            if not report.passed:
+                failures.append(report)
     elapsed = time.perf_counter() - start
     return SweepSummary(m_max, names, len(sets), tuple(failures), elapsed)

@@ -267,9 +267,12 @@ def test_a_chain_build_keeps_a_few_entries_not_all():
 
 
 def test_counts_match_for_larger_n_without_enumeration():
-    # the two non-enumerative routes must agree far beyond the scan cap
-    for s in ((2,), (4, 6), (2, 5, 9)):
-        for n in (12, 17, 25):
+    # the two non-enumerative routes must agree far beyond the scan cap;
+    # the formula packs (40, 80) into 192-bit limbs, and the recursion
+    # shares no packing
+    cases = [(s, (12, 17, 25)) for s in ((2,), (4, 6), (2, 5, 9))]
+    for s, ns in cases + [((40, 80), range(81, 86))]:
+        for n in ns:
             assert count_via_formula(s, n) == count_via_recursion(s, n)
 
 
@@ -302,127 +305,72 @@ def _packed_singleton(k, width):
     return sum(math.comb(k - 1, j) << j * width for j in range(1, k))
 
 
-def test_a_too_narrow_limb_width_trips_the_guard_and_rebuilds_wider(monkeypatch):
-    import peakpoly.engine as engine
-    monkeypatch.setattr(engine, "_LIMB_BITS", 64)
-    packed, passes = engine._packed, []
-
-    def recording(sets, width, guard_bits):
-        entries = []
-        passes.append((width, guard_bits, entries))
-        for t, entry in packed(sets, width, guard_bits):
-            entries.append((t, entry))
-            yield t, entry
-
-    monkeypatch.setattr(engine, "_packed", recording)
-    p = peak_polynomial((200,))
-    assert p.degree == 199
-    assert all(p.evaluate(n) == math.comb(n - 1, 199) - 1 for n in range(200, 400))
-
-    # the 64-bit pass stops at the first set whose coefficients reach the
-    # guard bits, and every entry of either pass is exact
-    (narrow, guard_bits, first), (wide, _, second) = passes
-    assert narrow == 64 < wide
-    (k,), last = first[-1]
-    assert last is None
-    room = narrow - guard_bits
-    assert math.comb(k - 1, (k - 1) // 2).bit_length() > room
-    assert all(math.comb(j - 1, (j - 1) // 2).bit_length() <= room for (j,), _ in first[:-1])
-    assert all(entry == _packed_singleton(j, narrow) for (j,), entry in first[:-1])
-    assert [t for t, _ in second] == [(j,) for j in range(2, 201)]
-    assert all(entry == _packed_singleton(j, wide) for (j,), entry in second)
-
-    # a sweep whose stored coefficients outgrow 64 bits hands the checks
-    # the same coefficients, after one rebuild
-    handed = []
-    build = verify._build
-
-    def keeping(sets, *start):
-        for t, raw in build(sets, *start):
-            handed.append(raw)
-            yield t, raw
-
-    monkeypatch.setattr(verify, "_build", keeping)
-    passes.clear()
-    assert verify.sweep(21).failures == ()
-    (narrow, _, _), (wide, _, _) = passes
-    assert narrow == 64 < wide
-    narrow_handed = handed[:]
-    monkeypatch.setattr(engine, "_LIMB_BITS", 128)
-    handed.clear()
-    passes.clear()
-    verify.sweep(21)
-    assert [width for width, _, _ in passes] == [128]
-    assert len(handed) == len(structurally_admissible_sets(21))
-    assert narrow_handed == handed
-
-
-def test_a_guard_trip_rebuilds_once_wide_enough_for_the_limb_bound(monkeypatch):
-    # {120, 240} trips the first pass at a low level; the bound on every
-    # stored limb gives the width of the second pass, which cannot trip
+def test_a_build_packs_once_at_the_width_of_the_limb_bound(monkeypatch):
+    # the width comes from a bound proved before the build, so each build
+    # is one pass of the packed table, at the least multiple of 64 bits
+    # above the bound
     import hashlib
     import peakpoly.engine as engine
     packed, passes = engine._packed, []
 
-    def limbs_from(k, width):
-        # a mask of every limb's bits from the k-th up
-        return int.from_bytes(((1 << width) - (1 << k)).to_bytes(width // 8, "little") * 240,
-                              "little")
-
-    def recording(sets, width, guard_bits):
-        # the OR of the stored entries (all but the set's own), cut to the
-        # limb bits from 8 below the bound's bit-length and from it
-        passes.append(ors := [width, guard_bits, 0, 0])
-        if width <= bits:
-            yield from packed(sets, width, guard_bits)
-            return
-        near, above = limbs_from(bits - 8, width), limbs_from(bits, width)
-        for t, entry in packed(sets, width, guard_bits):
-            if entry is not None and t != sets[-1]:
-                ors[2] |= entry & near
-                ors[3] |= entry & above
+    def recording(sets, width):
+        entries = []
+        passes.append((width, entries))
+        for t, entry in packed(sets, width):
+            entries.append((t, entry))
             yield t, entry
 
-    bound, bounds = engine._limb_bound, []
-
-    def keeping(sets, weights):
-        bounds.append(bound(sets, weights))
-        return bounds[-1]
-
     monkeypatch.setattr(engine, "_packed", recording)
-    monkeypatch.setattr(engine, "_limb_bound", keeping)
-    bits = 473  # the bound's bit-length; the widest coefficient of {120, 240} has 469
-    p = peak_polynomial((120, 240))
-    assert len(passes) == 2 and bounds[0].bit_length() == bits
-    # every stored limb of the second pass is below 2^473 <= 2^(width - G),
-    # and some reach 2^465
-    width, guard_bits, near, above = passes[1]
-    assert bits <= width - guard_bits and near != 0 and above == 0
-    # the coefficients that three passes, at widths 128, 512 and 832, built
+    # p_{k}(n) = C(n - 1, k - 1) - 1, and the chain's bound is 2^200 - 2
+    p = peak_polynomial((200,))
+    assert p.degree == 199
+    assert all(p.evaluate(n) == math.comb(n - 1, 199) - 1 for n in range(200, 400))
+    ((width, entries),) = passes
+    assert width == 256
+    assert [t for t, _ in entries] == [(j,) for j in range(2, 201)]
+    assert all(entry == _packed_singleton(j, width) for (j,), entry in entries)
+
+    for s, width in (((1200,), 1216), ((40, 80), 192), ((120, 240), 512)):
+        passes.clear()
+        p = peak_polynomial(s)
+        assert [w for w, _ in passes] == [width], s
+    # {120, 240}'s coefficients as builds at 640 and at 832 bits gave them
     assert p.degree == 239 and p.evaluate(240) == 0
     digest = hashlib.sha256(",".join(map(str, p.coeffs)).encode()).hexdigest()
     assert digest == "fcdfc052a2d6e356198f0eb441a79e02001956001e17dbb35b694d432abda2eb"
 
+    passes.clear()
+    assert verify.sweep(21).failures == ()
+    assert [w for w, _ in passes] == [128]
 
-def test_a_width_too_small_for_the_data_never_hands_out_a_wrapped_tuple(monkeypatch):
-    # with 64 bits and no wider pass allowed, the build hands out each set
-    # that fits, exact, and then nothing: not one wrapped coefficient
+
+def _reference_limb_bounds(sets):
+    # the bound set by set: b_t = 2 (w b_u + the sum of b over t's other
+    # parts), from b_() = 1, where w weighs u's shift to max(t) - 1 over the
+    # limbs that u can have; every term of a step is >= 0, so each of t's
+    # limbs is at most b_t
     import peakpoly.engine as engine
-    monkeypatch.setattr(engine, "_LIMB_BITS", 64)
-    packed, passes = engine._packed, []
+    bound = {(): 1}
+    for t in sets:
+        u = t[:-1]
+        below = u[-1] if u else 0
+        steps = t[-1] - 1 - below
+        w = sum(math.comb(steps, i) for i in range(min(steps, max(below - 1, 0)) + 1))
+        bound[t] = 2 * (w * bound[u] + sum(bound[part] for _, part in engine._parts(t)[:-1]))
+    return bound
 
-    def once(sets, width, guard_bits):
-        if passes:
-            raise RuntimeError("no wider pass")
-        passes.append(width)
-        return packed(sets, width, guard_bits)
 
-    monkeypatch.setattr(engine, "_packed", once)
-    handed = []
-    with pytest.raises(RuntimeError, match="no wider pass"):
-        for t, raw in engine._build([(k,) for k in range(2, 201)]):
-            handed.append((t, raw))
-    assert passes == [64]
-    assert 30 < len(handed) < 70
-    assert handed == [((k,), (0,) + tuple(math.comb(k - 1, j) for j in range(1, k)))
-                      for k in range(2, len(handed) + 2)]
+def test_the_limb_bound_covers_every_set_and_every_coefficient():
+    # the width is never checked again once chosen, so the bound by
+    # (maximum, size) class must be at least the bound set by set, and
+    # above every coefficient the build hands out: every set of a sweep,
+    # the set itself of a down-closure
+    import peakpoly.engine as engine
+    builds = [(structurally_admissible_sets(m), 0) for m in range(2, 17)]
+    for s in ((40, 80), (3, 9, 30), (2, 5, 40), (120, 240)):
+        closure = sorted(filter(None, engine._closure(s)), key=lambda t: t[-1])
+        builds.append((closure, len(closure) - 1))
+    for sets, start in builds:
+        bound = engine._limb_bound(sets)
+        assert bound >= max(_reference_limb_bounds(sets).values()), sets[-1]
+        assert all(bound > c for _, raw in engine._build(sets, start) for c in raw), sets[-1]

@@ -381,9 +381,9 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     packed = engine._packed
     passes, steps = [], []
 
-    def counting(sets, width, guard_bits):
+    def counting(sets, width):
         passes.append(width)
-        for t, entry in packed(sets, width, guard_bits):
+        for t, entry in packed(sets, width):
             steps.append(t)
             yield t, entry
 
