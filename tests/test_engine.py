@@ -305,11 +305,8 @@ def _packed_singleton(k, width):
     return sum(math.comb(k - 1, j) << j * width for j in range(1, k))
 
 
-def test_a_build_packs_once_at_the_width_of_the_limb_bound(monkeypatch):
-    # the width comes from a bound proved before the build, so each build
-    # is one pass of the packed table, at the least multiple of 64 bits
-    # above the bound
-    import hashlib
+def _record_packed_passes(monkeypatch):
+    # wrap engine._packed so each build's (width, entries) is recorded
     import peakpoly.engine as engine
     packed, passes = engine._packed, []
 
@@ -321,6 +318,14 @@ def test_a_build_packs_once_at_the_width_of_the_limb_bound(monkeypatch):
             yield t, entry
 
     monkeypatch.setattr(engine, "_packed", recording)
+    return passes
+
+
+def test_a_build_packs_once_at_the_width_of_the_limb_bound(monkeypatch):
+    # the width comes from a bound proved before the build, so each build
+    # is one pass of the packed table, at the least multiple of 64 bits
+    # above the bound
+    passes = _record_packed_passes(monkeypatch)
     # p_{k}(n) = C(n - 1, k - 1) - 1, and the chain's bound is 2^200 - 2
     p = peak_polynomial((200,))
     assert p.degree == 199
@@ -330,18 +335,26 @@ def test_a_build_packs_once_at_the_width_of_the_limb_bound(monkeypatch):
     assert [t for t, _ in entries] == [(j,) for j in range(2, 201)]
     assert all(entry == _packed_singleton(j, width) for (j,), entry in entries)
 
-    for s, width in (((1200,), 1216), ((40, 80), 192), ((120, 240), 512)):
+    for s, width in (((1200,), 1216), ((40, 80), 192)):
         passes.clear()
-        p = peak_polynomial(s)
+        peak_polynomial(s)
         assert [w for w, _ in passes] == [width], s
-    # {120, 240}'s coefficients as builds at 640 and at 832 bits gave them
-    assert p.degree == 239 and p.evaluate(240) == 0
-    digest = hashlib.sha256(",".join(map(str, p.coeffs)).encode()).hexdigest()
-    assert digest == "fcdfc052a2d6e356198f0eb441a79e02001956001e17dbb35b694d432abda2eb"
 
     passes.clear()
     assert verify.sweep(21).failures == ()
     assert [w for w, _ in passes] == [128]
+
+
+def test_a_deep_pair_packs_once_with_the_coefficients_of_a_wider_build(monkeypatch):
+    # {120, 240}'s bound is 478 bits, so it packs once at 512; its coefficients
+    # equal the ones that builds at 640 and at 832 bits gave
+    import hashlib
+    passes = _record_packed_passes(monkeypatch)
+    p = peak_polynomial((120, 240))
+    assert [w for w, _ in passes] == [512]
+    assert p.degree == 239 and p.evaluate(240) == 0
+    digest = hashlib.sha256(",".join(map(str, p.coeffs)).encode()).hexdigest()
+    assert digest == "fcdfc052a2d6e356198f0eb441a79e02001956001e17dbb35b694d432abda2eb"
 
 
 def _reference_limb_bounds(sets):
