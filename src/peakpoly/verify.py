@@ -8,11 +8,12 @@ violation; none of the bundled checks is expected to fail, so a failure
 always signals an implementation bug worth a reduced witness.
 
 The public functions validate their input once (the check names before
-the set; verify_counts and verify_log_concavity are verify_set with one
-check) and read the coefficients once; one private function then builds
-the report of the selected checks on the canonical set and its
-coefficients.  Each check decides only its witness, None when it holds,
-in one place, and every verdict in a report is read off that witness.
+the set, and k_max before any build; verify_counts and
+verify_log_concavity are verify_set with one check) and read the
+coefficients once; one private function then builds the report of the
+selected checks on the canonical set and its coefficients.  Each check
+decides its witness, None when it holds, in the branch of that function
+that reports it, and every verdict in a report is read off that witness.
 The sweep, whose sets are canonical and admissible by construction,
 first puts each set's coefficients, as the engine builds them, through a
 quick test (_cleared) that only a set with no witness can pass.  Only a
@@ -134,41 +135,9 @@ def _check_names(checks: Iterable[str], allowed: tuple[str, ...]) -> tuple[str, 
     return names
 
 
-def _witnesses(name: str, raw: tuple[int, ...], m: int,
-               k_max: int) -> list[tuple[str, object]]:
-    """(check name, witness or None) for each check that the polynomial
-    check name (positivity or logconcavity) makes on the coefficients raw
-    of a polynomial at centre m: the one place that decides whether such a
-    check fails, read by the sweep and by every report.
-
-    Positivity runs through centre k_max.
-    """
-    if name == "positivity":
-        if k_max < m:
-            raise ValueError(f"k_max must be >= max(S) = {m}, got {k_max}")
-        order_m_witness = None
-        if raw[m:]:
-            # a nonzero polynomial of degree e cannot vanish at e+1 consecutive points
-            order_m = BinomialPolynomial(m, raw[m:])
-            order_m_witness = next(
-                (m, k) for k in range(m, m + order_m.degree + 2)
-                if order_m.evaluate(k) != 0)
-        degree = len(raw) - 1
-        return [
-            ("positivity", _positivity_violation(raw, m, k_max)),
-            ("order-m-difference-zero", order_m_witness),
-            ("zero-at-max", (0, m) if raw and raw[0] else None),
-            ("degree", None if degree == m - 1 else degree),
-        ]
-    # c_j^2 < c_(j-1) * c_(j+1) over 2 <= j <= m-2; past the trimmed raw,
-    # c_(j+1) = 0 and no j can fail, so raw needs no padding
-    return [("logconcavity", next((j for j in range(2, min(m, len(raw)) - 1)
-                                   if raw[j] ** 2 < raw[j - 1] * raw[j + 1]), None))]
-
-
 def _cleared(raw: tuple[int, ...], m: int, logconcavity: bool) -> bool:
-    """True only when every witness that _witnesses gives for raw at
-    centre m >= 1 is None, for positivity and, if logconcavity, for it
+    """True only when the checks that _verify makes on raw at centre
+    m >= 1 find no witness, for positivity and, if logconcavity, for it
     too: the sweep's quick test, two passes at C level, before any witness
     scan.
 
@@ -176,7 +145,7 @@ def _cleared(raw: tuple[int, ...], m: int, logconcavity: bool) -> bool:
     the scan stops at centre m, nothing lies past degree m - 1, and
     p(m) = 0.  On such a raw, log-concavity reads c_j^2 >= c_(j-1) c_(j+1)
     for j = 2..m-2, the witness range.  False says nothing: the caller
-    asks _witnesses.
+    builds the report.
     """
     if len(raw) != m or raw[0] or min(raw[1:], default=0) <= 0:
         return False
@@ -189,15 +158,16 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
             closure: dict | None = None) -> VerificationReport:
     """The report of the named checks, in the given order (duplicates
     included), on the canonical set s and the coefficients raw of p_s at
-    centre max(s): each verdict is read off the witness that _witnesses
-    decides (counts decides its own), plus the notes.
+    centre max(s).  Each check decides its witness, None when it holds,
+    in the branch that reports it, and its verdict is read off that
+    witness; plus the notes.
 
     s must be nonempty and admissible when a check other than counts is
-    named; for an inadmissible s (counts only) raw is () and the report's
-    coefficients are zeros.  Positivity runs through centre k_max, counts
-    through length n_max, on the down-closure of s when the caller passes
-    the one it walked for raw.  Nothing here validates s: the public
-    callers do that once.
+    named, and k_max >= max(s) when positivity is; for an inadmissible s
+    (counts only) raw is () and the report's coefficients are zeros.
+    Positivity runs through centre k_max, counts through length n_max, on
+    the down-closure of s when the caller passes the one it walked for
+    raw.  Nothing here validates its input: the public callers do that once.
     """
     m = s[-1] if s else 0
     # j = 0..m: cut after j = m, or padded with zeros (for a peak
@@ -207,10 +177,26 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
     notes: dict = {}
     for name in names:
         if name == "positivity":
-            witnesses += _witnesses(name, raw, m, k_max)
+            order_m_witness = None
+            if raw[m:]:
+                # a nonzero polynomial of degree e cannot vanish at e+1 consecutive points
+                order_m = BinomialPolynomial(m, raw[m:])
+                order_m_witness = next(
+                    (m, k) for k in range(m, m + order_m.degree + 2)
+                    if order_m.evaluate(k) != 0)
+            degree = len(raw) - 1
+            witnesses += [
+                ("positivity", _positivity_violation(raw, m, k_max)),
+                ("order-m-difference-zero", order_m_witness),
+                ("zero-at-max", (0, m) if raw and raw[0] else None),
+                ("degree", None if degree == m - 1 else degree),
+            ]
             notes["k_max"] = k_max
         elif name == "logconcavity":
-            witnesses += _witnesses(name, raw, m, k_max)
+            # the first j in 2..m-2 with c_j^2 < c_(j-1) * c_(j+1)
+            witnesses.append(("logconcavity", next(
+                (j for j in range(2, m - 1) if coeffs[j] ** 2 < coeffs[j - 1] * coeffs[j + 1]),
+                None)))
             notes["unimodal"] = _is_unimodal(coeffs[1:m])
             notes["log_concavity_ties"] = [
                 j for j in range(2, m - 1) if coeffs[j] ** 2 == coeffs[j - 1] * coeffs[j + 1]]
@@ -247,6 +233,8 @@ def verify_positivity(positions: Iterable[int], k_max: int) -> VerificationRepor
     and deg p_S = m - 1.
     """
     s = _admissible(positions, _EMPTY)
+    if k_max < s[-1]:
+        raise ValueError(f"k_max must be >= max(S) = {s[-1]}, got {k_max}")
     return _verify(s, _peak_coefficients(s), ("positivity",), k_max)
 
 
@@ -299,6 +287,8 @@ def verify_set(positions: Iterable[int],
     elif n_max < m + 1 and "counts" in names:  # else counts would compare no length
         bound = f"max(S) + 1 = {m + 1}" if s else "1"
         raise ValueError(f"n_max must be >= {bound}, got {n_max}")
+    if k_extra < 0 and "positivity" in names:  # else positivity would scan no centre
+        raise ValueError(f"k_max must be >= max(S) = {m}, got {m + k_extra}")
     if counts_only and _violation(s) is not None:
         return _verify(s, (), names, m + k_extra, n_max, max_n)
     closure = _closure(s)  # one walk, for the build and for the recursion

@@ -224,14 +224,14 @@ def test_insertion_cases_output_is_sorted_and_validated():
         insertion_cases((2,), 11)
 
 
-def test_cache_entries_have_canonical_shape():
+def test_peak_polynomials_have_canonical_shape():
     for s in ((3, 5, 8), (3, 5), (2,)):
         entry = peak_polynomial(s)
         assert entry.center == s[-1]
         assert entry.coeffs[0] == 0
 
 
-def test_cache_is_safe_under_concurrent_use():
+def test_peak_polynomial_is_safe_under_concurrent_use():
     sets = structurally_admissible_sets(10)
     expected = [peak_polynomial(s) for s in sets]
     with ThreadPoolExecutor(max_workers=8) as pool:

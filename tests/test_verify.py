@@ -11,10 +11,11 @@ from peakpoly.perms import InadmissibleSetError, structurally_admissible_sets
 from peakpoly.verify import (
     ALL_CHECKS,
     SWEEP_CHECKS,
+    CheckResult,
     SweepSummary,
     _cleared,
     _positivity_violation,
-    _witnesses,
+    _verify,
     sweep,
     verify_counts,
     verify_log_concavity,
@@ -47,6 +48,29 @@ def test_positivity_rejects_bad_inputs():
         verify_positivity((2, 3), 5)
     with pytest.raises(ValueError):
         verify_positivity((4, 6), 5)
+
+
+def test_a_bad_k_max_is_refused_before_any_walk_or_build(monkeypatch):
+    # k_max is input, checked at the public entries: a k_max below max(S)
+    # is refused before the down-closure of S is walked or built
+    import peakpoly.engine as engine
+    import peakpoly.verify as verify
+
+    def refuse(*args):
+        raise AssertionError("walked or built the down-closure before refusing k_max")
+
+    for module in (engine, verify):
+        monkeypatch.setattr(module, "_closure", refuse)
+    monkeypatch.setattr(verify, "_peak_coefficients", refuse)
+    k_max_error = r"^k_max must be >= max\(S\) = 6, got 5$"
+    with pytest.raises(ValueError, match=k_max_error):
+        verify_positivity((4, 6), 5)
+    with pytest.raises(ValueError, match=k_max_error):
+        verify_set((4, 6), k_extra=-1)
+
+    # log-concavity alone reads no k_max
+    monkeypatch.undo()
+    assert verify_set((4, 6), ("logconcavity",), k_extra=-1).passed
 
 
 def test_positivity_witness_is_sound():
@@ -143,7 +167,7 @@ def test_a_passing_sweep_builds_no_report(monkeypatch, plant_coefficients):
         raise AssertionError("the sweep built a report or scanned a passing set")
 
     for name in ("VerificationReport", "CheckResult", "_is_unimodal",
-                 "_witnesses", "_positivity_violation"):
+                 "_positivity_violation"):
         monkeypatch.setattr(verify, name, refuse)
     assert sweep(12).failures == ()
 
@@ -182,12 +206,11 @@ def _raw_and_centre(draw):
 @given(_raw_and_centre(), st.integers(min_value=0, max_value=5),
        st.sampled_from([("positivity",), ("logconcavity",), SWEEP_CHECKS]))
 def test_the_quick_test_clears_only_sets_without_a_witness(raw_and_centre, k_extra, names):
-    # the sweep skips the witness scans of a set that its quick test
-    # clears, so a cleared set must have no witness for any selected check
+    # the sweep builds no report for a set that its quick test clears, so
+    # a cleared set must pass every selected check
     raw, m = raw_and_centre
     if _cleared(raw, m, "logconcavity" in names):
-        assert all(witness is None for name in names
-                   for _, witness in _witnesses(name, raw, m, m + k_extra))
+        assert _verify((m,), raw, names, m + k_extra).passed
 
 
 def test_positivity_of_peak_polynomials_needs_no_shift(monkeypatch):
@@ -227,7 +250,8 @@ def test_log_concavity_witness_matches_the_padded_scan(raw, m):
     # a scan of c_0..c_m padded with zeros finds the same first dip
     c = raw[:m + 1] + [0] * (m + 1 - len(raw))
     dip = next((j for j in range(2, m - 1) if c[j] ** 2 < c[j - 1] * c[j + 1]), None)
-    assert _witnesses("logconcavity", tuple(raw), m, m) == [("logconcavity", dip)]
+    assert (_verify((m,), tuple(raw), ("logconcavity",)).checks
+            == (CheckResult("logconcavity", dip is None, dip),))
 
 
 def test_log_concavity_worked_example():
