@@ -20,8 +20,8 @@ route can cross-check the others.
 
 import itertools
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import lshift, or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from peakpoly.intpoly import BinomialPolynomial, binomial_row
 from peakpoly.perms import (
@@ -34,8 +34,7 @@ from peakpoly.perms import (
     group_permutations_by_peak_set,
 )
 
-@dataclass(frozen=True)
-class DerivedPair:
+class DerivedPair(NamedTuple):
     """The two sets obtained from a peak set at one chosen element.
 
     lowered: the chosen element and everything above it slide down by one.
@@ -248,19 +247,19 @@ def _limbs(packed: int, width: int) -> tuple[int, ...]:
     """The limbs of packed, width (a multiple of 64) bits each, lowest
     first, up to the last nonzero one; O(size) whatever the width.
 
-    Up to maximum 22 every coefficient fits one 64-bit word (at width 64
-    each word is a limb), and then one unpack of the words gives the
-    limbs: the sweep workload's wall_s is 0.229 s this way against
-    0.295 s with one int.from_bytes per limb (BENCH_sweep_unpack.json).
+    One unpack gives the 64-bit words.  Up to maximum 22 each coefficient
+    fits its limb's lowest word, which is then the limb (wall_s of the
+    sweep workload: 0.229 s, against 0.295 s with int.from_bytes per limb,
+    BENCH_sweep_unpack.json); a wider limb ORs in its higher words at C level.
     """
     count = -(-packed.bit_length() // width)
-    data = packed.to_bytes(count * width // 8, "little")
-    words = struct.unpack(f"<{len(data) // 8}Q", data)
-    low = words[::width // 64]
-    if sum(low) == sum(words):  # the words above each limb's lowest are 0
-        return low
-    size = width // 8
-    return tuple([int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)])
+    words = struct.unpack(f"<{count * width // 64}Q", packed.to_bytes(count * width // 8, "little"))
+    limbs = words[::width // 64]
+    if sum(limbs) == sum(words):  # the words above each limb's lowest are 0
+        return limbs
+    for i in range(1, width // 64):
+        limbs = map(or_, limbs, map(lshift, words[i::width // 64], itertools.repeat(64 * i)))
+    return tuple(limbs)
 
 
 def count_via_formula(positions: Iterable[int], n: int) -> int:

@@ -20,9 +20,8 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 def binomial(t: int, j: int) -> int:
@@ -70,7 +69,6 @@ def _shift_center(coeffs: list[int], steps: int) -> list[int]:
     return coeffs
 
 
-@dataclass(frozen=True, eq=False)
 class BinomialPolynomial:
     """Immutable integer-valued polynomial sum_j coeffs[j] * C(x - center, j).
 
@@ -80,19 +78,33 @@ class BinomialPolynomial:
     does not matter.
     """
 
-    center: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("center", "coeffs")
+    __match_args__ = ("center", "coeffs")
 
-    def __post_init__(self):
-        if not isinstance(self.center, int) or isinstance(self.center, bool) or self.center < 0:
-            raise ValueError(f"center must be an integer >= 0, got {self.center!r}")
-        coeffs = tuple(self.coeffs)
+    def __init__(self, center: int, coeffs: tuple[int, ...]):
+        if not isinstance(center, int) or isinstance(center, bool) or center < 0:
+            raise ValueError(f"center must be an integer >= 0, got {center!r}")
+        coeffs = tuple(coeffs)
         for c in coeffs:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficients must be integers, got {c!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not by setting slots
+        return type(self), (self.center, self.coeffs)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(center={self.center!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def zero(cls, center: int = 0) -> "BinomialPolynomial":
@@ -230,8 +242,7 @@ def sum_polynomials(polys: Iterable[BinomialPolynomial]) -> BinomialPolynomial:
     return total
 
 
-@dataclass(frozen=True)
-class DifferenceTable:
+class DifferenceTable(NamedTuple):
     """Grid of iterated forward differences: cell (j, k) holds (D^j f)(k).
 
     Rows run j = 0..jmax top to bottom, columns k = kmin..kmax left to

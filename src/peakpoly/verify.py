@@ -24,9 +24,9 @@ scans no witness and builds no report.
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from operator import ge, mul
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from peakpoly.engine import _build, _closure, _peak_coefficients, _recursion_counts
 from peakpoly.intpoly import BinomialPolynomial, _shift_center
@@ -48,8 +48,7 @@ ALL_CHECKS = ("positivity", "logconcavity", "counts")
 _EMPTY = "the empty peak set has no maximum to verify at"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named check; witness locates the first violation."""
 
     name: str
@@ -63,15 +62,14 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "witness": witness}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-set record of check outcomes and the coefficient sequence at m."""
 
     positions: PeakSet
     m: int
     checks: tuple[CheckResult, ...]
     coefficients: tuple[int, ...]
-    notes: dict = field(default_factory=dict)
+    notes: Mapping = MappingProxyType({})  # read-only, so reports share no dict
 
     @property
     def passed(self) -> bool:
@@ -84,7 +82,7 @@ class VerificationReport:
             "passed": self.passed,
             "checks": [check.to_json_dict() for check in self.checks],
             "coefficients": [str(c) for c in self.coefficients],
-            "notes": self.notes,
+            "notes": dict(self.notes),
         }
 
 
@@ -295,8 +293,7 @@ def verify_set(positions: Iterable[int],
     return _verify(s, _peak_coefficients(s, closure), names, m + k_extra, n_max, max_n, closure)
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     """Aggregate of one verification sweep.
 
     elapsed_seconds is informational; everything else is deterministic for

@@ -382,6 +382,18 @@ def test_cli_import_leaves_out_process_pools():
     assert result.stdout.strip() == "[]"
 
 
+def test_cold_import_leaves_out_dataclasses_and_inspect():
+    # -S: no .pth file in site-packages can pre-load a module; dataclasses
+    # pulls in inspect, ast, dis and tokenize, about 10 ms of every cold call
+    import peakpoly
+    src = os.path.dirname(os.path.dirname(os.path.abspath(peakpoly.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import peakpoly, peakpoly.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_env_var_overrides_enumeration_cap():
     result = _run_module("enumerate", "--n", "4", "--group-by-peaks",
                          env_extra={"PEAKPOLY_ENUM_CAP": "3"})

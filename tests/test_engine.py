@@ -357,6 +357,23 @@ def test_a_deep_pair_packs_once_with_the_coefficients_of_a_wider_build(monkeypat
     assert digest == "fcdfc052a2d6e356198f0eb441a79e02001956001e17dbb35b694d432abda2eb"
 
 
+def test_wide_limbs_match_one_from_bytes_per_limb():
+    # past 64 bits a limb is its words ORed together; the reference reads
+    # each limb on its own
+    import random
+    import peakpoly.engine as engine
+    rng = random.Random(7)
+    for width in (128, 192, 512):
+        for limbs in ([2 ** 64, 1], [0, 2 ** (width - 1) + 5, 0, 3],
+                      [rng.getrandbits(width) | 2 ** 64 for _ in range(9)]):
+            packed = sum(c << j * width for j, c in enumerate(limbs))
+            data = packed.to_bytes(-(-packed.bit_length() // width) * width // 8, "little")
+            size = width // 8
+            reference = tuple(int.from_bytes(data[i:i + size], "little")
+                              for i in range(0, len(data), size))
+            assert engine._limbs(packed, width) == reference == tuple(limbs), width
+
+
 def _reference_limb_bounds(sets):
     # the bound set by set: b_t = 2 (w b_u + the sum of b over t's other
     # parts), from b_() = 1, where w weighs u's shift to max(t) - 1 over the
