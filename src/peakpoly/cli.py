@@ -5,8 +5,8 @@ text by default; --format json/csv are schema-stable and render all big
 integers as decimal strings.
 
 Exit codes: 0 success (and all checks passed), 1 usage or resource-limit
-error, 2 structurally inadmissible peak set, 3 a verification check failed
-or the counting routes disagreed.
+error, 2 structurally inadmissible peak set, 3 a verification check failed,
+the counting routes disagreed, or a set the build needed came out negative.
 """
 
 import argparse
@@ -16,9 +16,9 @@ import json
 import math
 import os
 import sys
-import tempfile
 
-from peakpoly.engine import count_via_formula, count_via_recursion, peak_polynomial
+from peakpoly.engine import (NegativeCoefficientError, count_via_formula, count_via_recursion,
+                             peak_polynomial)
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -87,6 +87,7 @@ def _format_set(positions) -> str:
 def _write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     partial report."""
+    import tempfile  # here, not at the top: a call that writes no report skips it
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".peakpoly-", suffix=".tmp")
     try:
@@ -371,6 +372,9 @@ def main(argv=None) -> int:
     except InadmissibleSetError as exc:
         print(f"error: inadmissible peak set: {exc}", file=sys.stderr)
         return 2
+    except NegativeCoefficientError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (_UsageError, EnumerationCapError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,23 +7,20 @@ peak set is exactly S factors as
 
 where p_S is an integer-valued polynomial of degree max(S) - 1, the peak
 polynomial of S.  This module builds p_S exactly, in the binomial basis
-centred at max(S), by a recursion on derived sets:
-
-  * lowering or omitting one element of S yields 2|S| smaller sets whose
-    peak polynomials sum to the first difference of p_S;
-  * p_S(max(S)) = 0 anchors the antidifference that recovers p_S itself.
-
-Counts are then available three independent ways: the closed formula
-above, a one-step recursion on n, and the exhaustive oracle, so each
-route can cross-check the others.
+centred at m = max(S), by the alternating-sum recursion of Billey, Burdzy
+and Sagan, from at most m - 1 smaller sets (see _build).  The recursion on
+derived sets (lowering or omitting one element of S yields 2|S| smaller
+sets) drives the count recursion on n and the insertion cases.  So counts
+come three independent ways, the closed formula above, that recursion and
+the exhaustive oracle, and each route can cross-check the others.
 """
 
 import itertools
 import struct
-from operator import lshift, or_
+from operator import add, lshift, mul, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from peakpoly.intpoly import BinomialPolynomial, binomial_row
+from peakpoly.intpoly import BinomialPolynomial
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     PeakSet,
@@ -93,8 +90,8 @@ def peak_polynomial(positions: Iterable[int]) -> BinomialPolynomial:
     """The peak polynomial of a structurally admissible (or empty) peak set.
 
     Returned centred at max(S) with constant coefficient 0; the empty set
-    gives the constant 1.  Each call builds the down-closure of S afresh
-    and keeps nothing once it returns.
+    gives the constant 1.  Each call builds the chain of S afresh, at most
+    max(S) - 1 sets, and keeps nothing once it returns.
     """
     s = _admissible(positions)
     return BinomialPolynomial(s[-1] if s else 0, _peak_coefficients(s))
@@ -116,128 +113,144 @@ def _closure(s: PeakSet) -> dict[PeakSet, list[tuple[int, PeakSet]]]:
     return closure
 
 
-def _peak_coefficients(s: PeakSet, closure: dict | None = None) -> tuple[int, ...]:
+def _chain(s: PeakSet) -> list[PeakSet]:
+    """The nonempty admissible sets in the closure of s under t -> (t1, t2)
+    (see _build), in increasing maximum, s last: with a_0 = 0, each
+    (a_1, ..., a_(i-1), j) for a_(i-1) + 2 <= j <= a_i."""
+    chain, below = [], 0
+    for i, top in enumerate(s):
+        chain += [s[:i] + (j,) for j in range(below + 2, top + 1)]
+        below = top
+    return chain
+
+
+class NegativeCoefficientError(ArithmeticError):
+    """The build of a set stopped below it, at a set with a negative coefficient."""
+
+
+def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
     """Coefficients of p_s at centre max(s), trimmed of trailing zeros (so
     the degree check can see a short result), for a canonical, admissible
-    s; (1,) for the empty set.  The down-closure of s (closure, when the
-    caller has walked it already) goes through _build in increasing
-    maximum, so s, the one set of maximum max(s), comes last, and it is
-    the only set handed out.
-    """
-    sets = sorted(filter(None, _closure(s) if closure is None else closure), key=lambda t: t[-1])
-    coeffs = (1,)
-    for _, coeffs in _build(sets, len(sets) - 1):
+    s; (1,) for ().  Built from the chain of s, unless a set below s trips."""
+    if not s:
+        return (1,)
+    sets = _chain(s)
+    for t, coeffs in _build(sets, len(sets) - 1):
         pass
+    if t != s:
+        j = next(j for j, c in enumerate(coeffs) if c < 0)
+        raise NegativeCoefficientError(f"p_S for S = {{{','.join(map(str, t))}}} has c_{j} = "
+                                       f"{coeffs[j]} < 0; {{{','.join(map(str, s))}}} is not built")
     return coeffs
 
 
 def _build(sets: Sequence[PeakSet],
            start: int = 0) -> Iterator[tuple[PeakSet, tuple[int, ...]]]:
     """(t, coefficients of p_t at centre max(t), trimmed) for each t of
-    sets[start:] (sets canonical, nonempty, admissible), from a table of
-    the sets built so far that lives only as long as the iteration.
+    sets[start:]: canonical, admissible sets, closed under t -> (t1, t2) in
+    increasing maximum.  With m = max(t), t1 = t minus m, t2 = t1 + (m - 1),
 
-    p_t is its first difference, the sum at centre m of the admissible
-    derived sets' polynomials (each of degree <= m - 2), shifted right with
-    p_t(m) = 0.  All derived sets of t = u + (m,) but u (omitted at the last
-    pivot) have maximum m - 1: they are summed at m - 1 with u shifted
-    there, and the antidifference step takes the sum to p_t at m directly.
-    So each nonempty derived set must come earlier, as it does when sets
-    come in increasing maximum.
+        p_t(x) = p_t1(m - 1) C(x, m - 1) - 2 p_t1(x) - p_t2(x),
 
-    _packed does that arithmetic in one pass on whole polynomials, each
-    packed into one int of limbs as wide as the least multiple of 64 bits
-    above _limb_bound; each entry is handed out as a tuple.
+    p_() = 1 and p of an inadmissible set 0.  _packed does that in one pass
+    on whole polynomials packed into ints of W-bit limbs, W the least
+    multiple of 64 with _limb_bound(sets) < 2^(W-1).  A set that trips (see
+    _packed) is handed out wherever it is, exactly, and ends the build.
     """
-    if not sets:
-        return
-    width = -(-_limb_bound(sets).bit_length() // 64) * 64
-    for t, packed in itertools.islice(_packed(sets, width), start, None):
-        yield t, _limbs(packed, width)
+    width = (_limb_bound(sets).bit_length() // 64 + 1) * 64
+    # 2^(W-1) in each limb of the top maximum, as many as any entry has
+    high = ((1 << sets[-1][-1] * width) - 1) // ((1 << width) - 1) << (width - 1)
+    for i, (t, packed) in enumerate(_packed(sets, width)):
+        if packed < 0 or packed & high:
+            coeffs = [c - (1 << width - 1) for c in _limbs(packed + high, width)]
+            while coeffs[-1] == 0:
+                coeffs.pop()
+            yield t, tuple(coeffs)
+            return
+        if i >= start:
+            yield t, _limbs(packed, width)
 
 
 def _limb_bound(sets: Sequence[PeakSet]) -> int:
-    """The largest B(m, k) over the classes of sets by maximum m and size
-    k, from B(0, 0) = 1: a bound on every limb-by-limb value that _packed
-    makes for sets, their own coefficients included.
-
-    Every term of a step is >= 0.  A set of class (m, k) whose u has
-    maximum below has, besides u, at most k lowered parts of class
-    (m - 1, k) and k - 1 omitted ones of class (m - 1, k - 1), each of
-    weight 1; u's shift to m - 1 weighs w, the C(m - 1 - below, i) summed
-    up to the last i that meets one of u's limbs (at most below, or 1 for
-    ()).  So c_j = d_(j-1) + d_j is at most twice the weighted sum.
-    """
-    bound = {(0, 0): 1}  # B by (maximum, size), filled in increasing maximum
-    for m, k, below in sorted({(t[-1], len(t), t[-2] if len(t) > 1 else 0) for t in sets}):
-        steps = m - 1 - below
-        w = sum(binomial_row(steps, min(steps, max(below - 1, 0))))
-        b = 2 * (w * bound[below, k - 1] + k * bound.get((m - 1, k), 0)
-                 + (k - 1) * bound.get((m - 1, k - 1), 0))
-        bound[m, k] = max(bound.get((m, k), 0), b)
-    return max(bound.values())
+    """The largest beta_(m, k)[j], a bound on |c_j| over the sets of
+    maximum m and size k, with no sign assumed.  g_k' bounds each set of
+    size k' and maximum <= m - 2 at centre m - 1, from g_0 = [1]; at each
+    level it takes in beta_(m-2, k') and moves a Pascal step,
+    P(v)[j] = v[j] + v[j + 1].  By the step, beta_(m, k)[j] =
+    g_(k-1)[0] C(m, j + 1) + P(x)[j], x = 2 g_(k-1) + beta_(m-1, k) (0 if
+    not built) bounding _packed's x.  As P(v) >= v, beta_(m, k) covers x
+    and the kept entries, and beta_(m+1, k) covers beta_(m, k)."""
+    sizes: dict[int, set[int]] = {}  # by maximum, the sizes of its classes
+    for t in sets:
+        sizes.setdefault(t[-1], set()).add(len(t))
+    read = {k - 1 for ks in sizes.values() for k in ks}  # g only for these
+    g = {0: [1]}
+    beta: dict[int, dict[int, list[int]]] = {}  # by maximum m - 2..m, then size
+    row = [1]  # C(m, j + 1) for j = 0..m - 1
+    largest = 0
+    for m in range(2, sets[-1][-1] + 1):
+        row = [*map(add, row, [1] + row), 1]
+        for k, b in beta.pop(m - 2, {}).items():
+            if k in read:
+                v = g.get(k, [])
+                g[k] = [*map(max, v, b), *v[len(b):], *b[len(v):]]
+        g = {k: [*map(add, v, v[1:]), v[-1]] for k, v in g.items()}
+        below, level = beta.get(m - 1, {}), beta.setdefault(m, {})
+        for k in sizes.get(m, ()):
+            v, b = g[k - 1], below.get(k, [])
+            x = [*map(add, map(add, v, v), b), *map(add, v[len(b):], v[len(b):]), *b[len(v):]]
+            x += [0] * (m + 1 - len(x))
+            b = level[k] = list(map(add, map(add, map(mul, row, itertools.repeat(v[0])), x), x[1:]))
+            if k not in sizes.get(m + 1, ()):
+                largest = max(largest, *b)
+    return largest
 
 
 def _packed(sets: Sequence[PeakSet], width: int) -> Iterator[tuple[PeakSet, int]]:
     """(t, p_t packed into one int) for each t of sets, in order.
 
-    Limb j of an entry, width bits wide, holds c_j at centre max(t), and
-    entries are keyed by bitmask, bit v set for each v of t.  Each derived
-    part's key then comes from shifts of t's: at pivot p, with low the bits
-    of t below p, the lowered part is low | (t >> p) << (p - 1), and the
-    omitted part is that without its bit p - 1.  No later set in the call
-    reads a set of the top maximum, so none of those is stored.
+    Limb j, width bits wide, holds c_j at centre m = max(t); entries are
+    keyed by bitmask.  The step is x = 2a + b, P = (a & MASK) ROW - x -
+    (x >> width): a is t1's entry at centre m - 1, b t2's (0 when
+    m - max(t1) <= 2), ROW is C(x, m - 1) at centre m (limb j C(m, j + 1)).
+    t2 is read once, one level up; a t1 of maximum k first by
+    t1 + (k + 2,), so an entry is dropped then unless read, and once read
+    is kept at the centre m - 1 of its last reader, each next reader moving
+    it a Pascal step on.  Sets of the top maximum are not stored.
 
-    The parts of t other than u have maximum m - 1, so an entry of maximum
-    k is read as one of them only by sets of maximum k + 1.  As a u it is
-    read first by u + (k + 2,), if at all, and then one level up each
-    time: each reader's lowered part at its top is the reader one level
-    down.  So an entry stays in its level's dict until the sets of maximum
-    k + 2 are built, and is dropped then unless one of them read it as u;
-    a u's entry, once read, moves to kept, shifted to the centre m - 1 of
-    its last reader, and its next reader moves it one Pascal step on.  A
-    chain of single sets holds three entries, not all of them.
-
-    Why no limb ever carries into the next: every term of a step is >= 0
-    (the entry of () is 1, u's shift weighs it by binomials, the other
-    parts by 1, and the antidifference adds neighbours), and each
-    limb-by-limb value of a step, partial sums included, is at most
-    _limb_bound(sets) < 2^width.  Packing is linear, so each is the int's
-    own base-2^width digit: the int arithmetic carries nothing across a
-    limb, and each p_t comes out exact.
+    An entry that does not trip is exact.  If every entry read so far is
+    exact with limbs in [0, 2^(width-1)), the kept entries and x add
+    nonnegative limbs below _limb_bound < 2^(width-1), so nothing carries.
+    Packing is linear, so P = sum of c_j 2^(j width) over j < m exactly,
+    with |c_j| < 2^(width-1), and each integer has one expansion in digits
+    from [-2^(width-1), 2^(width-1)).  So if all c_j >= 0, they are P's
+    digits, with no top bit set; if some c_j < 0, P < 0 or a digit of P has
+    its top bit set.  The trip, P < 0 or a top bit set, is some c_j < 0.
     """
     top = sets[-1][-1]
-    kept = {0: 1}  # each u's entry, shifted to the centre of its last reader
-    levels: dict[int, dict[int, int]] = {}  # by maximum, entries not yet read as u
+    mask = (1 << width) - 1
+    row = 0  # C(x, m - 1) at centre m
+    kept = {0: 1}  # each t1's entry, at the centre m - 1 of its last reader
+    levels: dict[int, dict[int, int]] = {}  # by maximum, entries not yet read as t1
     m = 0
     for t in sets:
         if t[-1] != m:
-            m = t[-1]
-            for k in [k for k in levels if k < m - 2]:
-                del levels[k]
-            parts = levels.get(m - 1, {})
+            for m in range(m + 1, t[-1] + 1):
+                row = ((row << width) | 1) + row
+                levels.pop(m - 3, None)
+            previous = levels.get(m - 1, {})
             stored = levels[m] = {}
         bits = 0
         for v in t:
             bits |= 1 << v
-        # u one step on, to m - 1
-        u = bits ^ 1 << m
-        a = kept[u] if u in kept else levels[t[-2]].pop(u)
-        kept[u] = d = a + (a >> width)
-        below = 0  # the element before the pivot, 0 at the first
-        for p in t[:-1]:
-            low = bits & ((1 << p) - 1)
-            lowered = low | (bits >> p) << (p - 1)
-            if p - below > 2:  # else the lowered part has adjacent elements or 1
-                d += parts[lowered]
-            d += parts[lowered ^ 1 << (p - 1)]
-            below = p
-        if m - below > 2:
-            d += parts[u | 1 << (m - 1)]
-        # p_t at m from its difference d at m - 1 and p_t(m) = 0: c_0 = 0
-        # and c_j = d_(j-1) + d_j, one Pascal step from m - 1 to m; that is
-        # (d << width) + ((d >> width) << width), in three passes
-        packed = (d + (d >> width)) << width
+        u = bits ^ 1 << m  # t1
+        low = t[-2] if len(t) > 1 else 0  # max(t1)
+        a = kept[u] if u in kept else levels[low].pop(u)
+        kept[u] = a = a + (a >> width)
+        x = 2 * a
+        if m - low > 2:  # else t2 has adjacent elements or 1
+            x += previous[u | 1 << (m - 1)]
+        packed = (a & mask) * row - x - (x >> width)
         if m < top:
             stored[bits] = packed
         yield t, packed
@@ -245,20 +258,18 @@ def _packed(sets: Sequence[PeakSet], width: int) -> Iterator[tuple[PeakSet, int]
 
 def _limbs(packed: int, width: int) -> tuple[int, ...]:
     """The limbs of packed, width (a multiple of 64) bits each, lowest
-    first, up to the last nonzero one; O(size) whatever the width.
-
-    One unpack gives the 64-bit words.  Up to maximum 22 each coefficient
-    fits its limb's lowest word, which is then the limb (wall_s of the
-    sweep workload: 0.229 s, against 0.295 s with int.from_bytes per limb,
-    BENCH_sweep_unpack.json); a wider limb ORs in its higher words at C level.
-    """
+    first, up to the last nonzero one, from one unpack into 64-bit words,
+    ORed at C level when a word above a limb's lowest is not 0."""
     count = -(-packed.bit_length() // width)
     words = struct.unpack(f"<{count * width // 64}Q", packed.to_bytes(count * width // 8, "little"))
-    limbs = words[::width // 64]
-    if sum(limbs) == sum(words):  # the words above each limb's lowest are 0
+    step = width // 64
+    limbs = words[::step]
+    high = list(words)
+    del high[::step]  # the words above each limb's lowest
+    if not any(high):
         return limbs
-    for i in range(1, width // 64):
-        limbs = map(or_, limbs, map(lshift, words[i::width // 64], itertools.repeat(64 * i)))
+    for i in range(1, step):
+        limbs = map(or_, limbs, map(lshift, words[i::step], itertools.repeat(64 * i)))
     return tuple(limbs)
 
 
@@ -273,18 +284,16 @@ def count_via_formula(positions: Iterable[int], n: int) -> int:
     return poly.evaluate(n) * 2 ** (n - len(s) - 1)
 
 
-def _recursion_counts(s: PeakSet, closure: dict | None = None) -> Iterator[int]:
+def _recursion_counts(s: PeakSet) -> Iterator[int]:
     """count(s, q) for q = 1, 2, ... for a canonical s (0 if inadmissible).
 
     count(t, q) = 2 count(t, q-1) + the sum over derived pairs of
     2 count(lowered, q-1) + count(omitted, q-1) when max(t) < q, else 0,
-    over the closure of s under derived sets (closure, when the caller has
-    walked it already), one length at a time.
+    over the closure of s under derived sets, one length at a time.
     """
     if _violation(s) is not None:
         yield from itertools.repeat(0)  # never returns
-    if closure is None:
-        closure = _closure(s)
+    closure = _closure(s)
     terms = {t: [(2, t), *rule] for t, rule in closure.items()}
     counts = {t: 0 if t else 1 for t in terms}
     for q in itertools.count(2):

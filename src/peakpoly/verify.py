@@ -3,23 +3,16 @@
 Every check runs in exact integer arithmetic and produces a
 VerificationReport carrying the coefficient sequence (D^j p_S)(m) for
 j = 0..m with m = max(S), plus one record per named check.  A failed check
-records a witness that can be re-evaluated standalone to reproduce the
-violation; none of the bundled checks is expected to fail, so a failure
-always signals an implementation bug worth a reduced witness.
+records a witness that reproduces the violation standalone; none is
+expected to fail, so a failure signals an implementation bug.
 
 The public functions validate their input once (the check names before
-the set, and k_max before any build; verify_counts and
-verify_log_concavity are verify_set with one check) and read the
-coefficients once; one private function then builds the report of the
-selected checks on the canonical set and its coefficients.  Each check
-decides its witness, None when it holds, in the branch of that function
-that reports it, and every verdict in a report is read off that witness.
-The sweep, whose sets are canonical and admissible by construction,
-first puts each set's coefficients, as the engine builds them, through a
-quick test (_cleared) that only a set with no witness can pass.  Only a
-set that fails it gets a report, kept if one of its checks fails: every
-peak polynomial clears the quick test, so a sweep that finds nothing
-scans no witness and builds no report.
+the set, and k_max before any build) and read the coefficients once; one
+private function, _verify, then decides each selected check's witness,
+None when it holds, in the branch that reports it, and reads its verdict
+off that witness.  The sweep first puts each set's coefficients through
+a quick test (_cleared) that only a set with no witness can pass, so a
+sweep that finds nothing scans no witness and builds no report.
 """
 
 import itertools
@@ -28,7 +21,7 @@ from operator import ge, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from peakpoly.engine import _build, _closure, _peak_coefficients, _recursion_counts
+from peakpoly.engine import _build, _peak_coefficients, _recursion_counts
 from peakpoly.intpoly import BinomialPolynomial, _shift_center
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
@@ -152,8 +145,7 @@ def _cleared(raw: tuple[int, ...], m: int, logconcavity: bool) -> bool:
 
 
 def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int = 0,
-            n_max: int = 0, max_n: int = DEFAULT_ENUMERATION_CAP,
-            closure: dict | None = None) -> VerificationReport:
+            n_max: int = 0, max_n: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """The report of the named checks, in the given order (duplicates
     included), on the canonical set s and the coefficients raw of p_s at
     centre max(s).  Each check decides its witness, None when it holds,
@@ -163,9 +155,8 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
     s must be nonempty and admissible when a check other than counts is
     named, and k_max >= max(s) when positivity is; for an inadmissible s
     (counts only) raw is () and the report's coefficients are zeros.
-    Positivity runs through centre k_max, counts through length n_max, on
-    the down-closure of s when the caller passes the one it walked for
-    raw.  Nothing here validates its input: the public callers do that once.
+    Positivity runs through centre k_max, counts through length n_max.
+    Nothing here validates its input: the public callers do that once.
     """
     m = s[-1] if s else 0
     # j = 0..m: cut after j = m, or padded with zeros (for a peak
@@ -204,7 +195,7 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
             # every n here is >= m + 1, so an admissible s is n-admissible,
             # and raw = () gives the formula count 0 for an inadmissible one
             formula_poly = BinomialPolynomial(m, raw)
-            recursion_column = itertools.islice(_recursion_counts(s, closure), m, None)
+            recursion_column = itertools.islice(_recursion_counts(s), m, None)
             for n, recursion in zip(range(m + 1, n_max + 1), recursion_column):
                 formula = formula_poly.evaluate(n) * 2 ** (n - len(s) - 1)
                 brute = enumerate_by_peak_set(n, max_n).get(s, 0) if n <= max_n else None
@@ -289,8 +280,7 @@ def verify_set(positions: Iterable[int],
         raise ValueError(f"k_max must be >= max(S) = {m}, got {m + k_extra}")
     if counts_only and _violation(s) is not None:
         return _verify(s, (), names, m + k_extra, n_max, max_n)
-    closure = _closure(s)  # one walk, for the build and for the recursion
-    return _verify(s, _peak_coefficients(s, closure), names, m + k_extra, n_max, max_n, closure)
+    return _verify(s, _peak_coefficients(s), names, m + k_extra, n_max, max_n)
 
 
 class SweepSummary(NamedTuple):
@@ -319,20 +309,16 @@ class SweepSummary(NamedTuple):
 def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
           workers: int = 1, k_extra: int = 5) -> SweepSummary:
     """Verify every structurally admissible nonempty peak set with
-    max(S) <= m_max, in the fixed (max, lexicographic) set order.
+    max(S) <= m_max, in the fixed (max, lexicographic) set order, in this
+    process (workers is deprecated: it is only checked to be >= 1).
 
-    workers is deprecated: it is only checked to be >= 1 and changes
-    nothing.  Every set runs in this process, which builds each polynomial
-    once (worker processes each rebuilt every polynomial, which cost more
-    than they saved).  The sets are canonical and admissible by
-    construction, so none is validated.  Each set's derived sets have
-    smaller maxima and so come earlier in this order: each set is built
-    from their entries just before its checks, with no down-closure walk,
-    in one table dropped when the sweep returns.  A set whose coefficients
-    are c_0 = 0 and c_1..c_(m-1) > 0, and, with logconcavity selected,
-    log-concave, is cleared by two C-level passes over them (_cleared).
-    Any other set gets the full report, the one verify_set gives, and is
-    kept when a check in it fails.
+    The sets are canonical and admissible by construction, so none is
+    validated; each is built from two earlier entries of one table just
+    before its checks (see engine._build).  A set whose coefficients are
+    c_0 = 0 and c_1..c_(m-1) > 0, and log-concave with logconcavity
+    selected, is cleared by two C-level passes (_cleared); any other gets
+    verify_set's full report, kept if a check fails.  A set built with a
+    negative coefficient is the last one checked.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -346,10 +332,10 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     sets = structurally_admissible_sets(m_max)
     start = time.perf_counter()
     failures = []
-    for s, raw in _build(sets):
+    for checked, (s, raw) in enumerate(_build(sets), 1):  # a trip ends it
         if not _cleared(raw, s[-1], logconcavity):
             report = _verify(s, raw, names, s[-1] + k_extra)
             if not report.passed:
                 failures.append(report)
     elapsed = time.perf_counter() - start
-    return SweepSummary(m_max, names, len(sets), tuple(failures), elapsed)
+    return SweepSummary(m_max, names, checked, tuple(failures), elapsed)

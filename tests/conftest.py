@@ -20,3 +20,23 @@ def plant_coefficients(monkeypatch):
             monkeypatch.setattr(module, "_build", planting)
 
     return plant
+
+
+@pytest.fixture
+def plant_negative_limb(monkeypatch):
+    """plant(target, j): the packed entry of the set target is handed on
+    with c_j = -1, as a wrong build step would make it, to the test of its
+    sign that every entry passes before it is unpacked."""
+    import peakpoly.engine as engine
+    packed = engine._packed
+
+    def plant(target, j):
+        def planting(sets, width):
+            for t, entry in packed(sets, width):
+                if t == target:
+                    entry -= ((entry >> j * width) % (1 << width) + 1) << j * width
+                yield t, entry
+
+        monkeypatch.setattr(engine, "_packed", planting)
+
+    return plant

@@ -199,6 +199,25 @@ def test_log_concavity_check_catches_a_planted_dip(capsys, plant_coefficients):
     assert "FAIL {4,6}: logconcavity" in out
 
 
+def test_a_negative_limb_exits_3_naming_its_set(capsys, plant_negative_limb):
+    # c_1 = -1 planted in p_{3,5}'s packed entry: the sweep lists that set
+    # with its positivity witness and stops there; a set built from it,
+    # here {3,5,8}, is refused with one error line naming {3,5}
+    plant_negative_limb((3, 5), 1)
+    code, out, err = run_cli(capsys, "sweep", "--max-m", "8", "--format", "json")
+    data = json.loads(out)
+    assert code == 3 and err == ""
+    assert data["sets_checked"] == 6
+    (failure,) = data["failures"]
+    assert failure["set"] == [3, 5] and failure["coefficients"][1] == "-1"
+    assert {c["name"]: c["witness"] for c in failure["checks"]}["positivity"] == [1, 5]
+
+    for command in ("poly", "table", "verify"):
+        code, out, err = run_cli(capsys, command, "--set", "3,5,8")
+        assert (code, out) == (3, ""), command
+        assert err == "error: p_S for S = {3,5} has c_1 = -1 < 0; {3,5,8} is not built\n"
+
+
 def test_poly_json_round_trips_into_formula_count(capsys):
     for set_arg, n in (("4,6", 9), ("2", 7), ("3,5,8", 11)):
         code, out, _ = run_cli(capsys, "poly", "--set", set_arg, "--format", "json")
@@ -332,6 +351,15 @@ def test_exit_codes_via_subprocess():
     assert _run_module("poly", "--set", "1").returncode == 2
     assert _run_module("poly", "--set", "2,2").returncode == 1
     assert _run_module("nonsense").returncode == 1
+    # 3: a child plants c_1 = -1 in p_{3,5}'s packed entry, and the sweep
+    # fails positivity there
+    plant = ("import sys, peakpoly.engine as engine, peakpoly.cli as cli; packed = engine._packed; "
+             "engine._packed = lambda sets, w: ((t, p - ((p >> w) % (1 << w) + 1 << w) "
+             "if t == (3, 5) else p) for t, p in packed(sets, w)); "
+             "sys.exit(cli.main(['sweep', '--max-m', '8']))")
+    result = subprocess.run([sys.executable, "-c", plant], capture_output=True, text=True)
+    assert result.returncode == 3, result.stderr
+    assert "FAIL {3,5}: positivity" in result.stdout
 
 
 def test_recursion_count_at_large_n_via_subprocess():
@@ -367,11 +395,23 @@ def test_counts_past_the_int_string_limit_via_subprocess():
 
 
 def test_deep_set_via_subprocess():
-    # a cold build over a down-closure 1199 sets deep
+    # a cold build over a chain 1199 sets deep
     for command in ("poly", "verify"):
         result = _run_module(command, "--set", "1200")
         assert result.returncode == 0, result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_a_set_with_a_vast_down_closure_via_subprocess():
+    # {20, 40, ..., 400}'s down-closure is too large to hold in memory;
+    # its chain has 380 sets
+    positions = ",".join(str(v) for v in range(20, 401, 20))
+    result = _run_module("poly", "--set", positions, "--format", "json")
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    coeffs = [int(c) for c in data["coefficients"]]
+    assert data["degree"] == 399 and len(coeffs) == 400
+    assert coeffs[0] == 0 and all(c > 0 for c in coeffs[1:])
 
 
 def test_cli_import_leaves_out_process_pools():
@@ -384,11 +424,12 @@ def test_cli_import_leaves_out_process_pools():
 
 def test_cold_import_leaves_out_dataclasses_and_inspect():
     # -S: no .pth file in site-packages can pre-load a module; dataclasses
-    # pulls in inspect, ast, dis and tokenize, about 10 ms of every cold call
+    # pulls in inspect, ast, dis and tokenize, about 10 ms of every cold
+    # call, and tempfile 6-7 ms, needed only to write a sweep report
     import peakpoly
     src = os.path.dirname(os.path.dirname(os.path.abspath(peakpoly.__file__)))
     code = (f"import sys; sys.path.insert(0, {src!r}); import peakpoly, peakpoly.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'tempfile'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

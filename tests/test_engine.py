@@ -17,6 +17,7 @@ from peakpoly.perms import (
     InadmissibleSetError,
     count_bruteforce,
     enumerate_by_peak_set,
+    is_structurally_admissible,
     permutations_with_peak_set,
     structurally_admissible_sets,
 )
@@ -247,8 +248,8 @@ def test_recursion_handles_large_n_from_a_cold_start():
 
 
 def test_deep_set_builds_without_recursion():
-    # the down-closure of {1200} is the chain {1199}, ..., {2}; the build
-    # walks it with an explicit stack, so its depth meets no recursion limit
+    # the chain of {1200} is {2}, ..., {1200}, built in one loop, so its
+    # depth meets no recursion limit
     assert peak_polynomial((1200,)).degree == 1199
     assert count_via_formula((1200,), 1201) == count_via_recursion((1200,), 1201)
 
@@ -326,7 +327,7 @@ def test_a_build_packs_once_at_the_width_of_the_limb_bound(monkeypatch):
     # is one pass of the packed table, at the least multiple of 64 bits
     # above the bound
     passes = _record_packed_passes(monkeypatch)
-    # p_{k}(n) = C(n - 1, k - 1) - 1, and the chain's bound is 2^200 - 2
+    # p_{k}(n) = C(n - 1, k - 1) - 1, and the chain's bound has 201 bits
     p = peak_polynomial((200,))
     assert p.degree == 199
     assert all(p.evaluate(n) == math.comb(n - 1, 199) - 1 for n in range(200, 400))
@@ -346,7 +347,7 @@ def test_a_build_packs_once_at_the_width_of_the_limb_bound(monkeypatch):
 
 
 def test_a_deep_pair_packs_once_with_the_coefficients_of_a_wider_build(monkeypatch):
-    # {120, 240}'s bound is 478 bits, so it packs once at 512; its coefficients
+    # {120, 240}'s bound is 475 bits, so it packs once at 512; its coefficients
     # equal the ones that builds at 640 and at 832 bits gave
     import hashlib
     passes = _record_packed_passes(monkeypatch)
@@ -364,7 +365,8 @@ def test_wide_limbs_match_one_from_bytes_per_limb():
     import peakpoly.engine as engine
     rng = random.Random(7)
     for width in (128, 192, 512):
-        for limbs in ([2 ** 64, 1], [0, 2 ** (width - 1) + 5, 0, 3],
+        # [1, 2 ** (width - 64), 3] has one nonzero word above a limb's lowest
+        for limbs in ([2 ** 64, 1], [0, 2 ** (width - 1) + 5, 0, 3], [1, 2 ** (width - 64), 3],
                       [rng.getrandbits(width) | 2 ** 64 for _ in range(9)]):
             packed = sum(c << j * width for j, c in enumerate(limbs))
             data = packed.to_bytes(-(-packed.bit_length() // width) * width // 8, "little")
@@ -374,33 +376,87 @@ def test_wide_limbs_match_one_from_bytes_per_limb():
             assert engine._limbs(packed, width) == reference == tuple(limbs), width
 
 
+def _pascal(v):
+    return [a + b for a, b in zip(v, v[1:] + [0])]
+
+
 def _reference_limb_bounds(sets):
-    # the bound set by set: b_t = 2 (w b_u + the sum of b over t's other
-    # parts), from b_() = 1, where w weighs u's shift to max(t) - 1 over the
-    # limbs that u can have; every term of a step is >= 0, so each of t's
-    # limbs is at most b_t
-    import peakpoly.engine as engine
-    bound = {(): 1}
+    # the bound set by set, with no sign assumed: for t of maximum m, with
+    # v t1's bound moved to centre m - 1, b_t[j] = v[0] C(m, j + 1) +
+    # Pascal(2 v + b_t2)[j], b_t2 0 when t2 is inadmissible, from b_() = [1]
+    bound = {(): [1]}
     for t in sets:
-        u = t[:-1]
-        below = u[-1] if u else 0
-        steps = t[-1] - 1 - below
-        w = sum(math.comb(steps, i) for i in range(min(steps, max(below - 1, 0)) + 1))
-        bound[t] = 2 * (w * bound[u] + sum(bound[part] for _, part in engine._parts(t)[:-1]))
+        m, t1 = t[-1], t[:-1]
+        below = t1[-1] if t1 else 0
+        v = bound[t1]
+        for _ in range(below, m - 1):
+            v = _pascal(v)
+        x = [2 * c for c in v] + [0] * (m + 1 - len(v))
+        for j, c in enumerate(bound[t1 + (m - 1,)] if m - below > 2 else []):
+            x[j] += c
+        bound[t] = [v[0] * math.comb(m, j + 1) + x[j] + x[j + 1] for j in range(m)]
     return bound
 
 
-def test_the_limb_bound_covers_every_set_and_every_coefficient():
+def test_the_limb_bound_covers_every_coefficient_with_no_sign_assumed():
     # the width is never checked again once chosen, so the bound by
     # (maximum, size) class must be at least the bound set by set, and
-    # above every coefficient the build hands out: every set of a sweep,
-    # the set itself of a down-closure
+    # above |c_j| of every set built: every set of a sweep, and every set
+    # of a chain, where only its last is handed out
     import peakpoly.engine as engine
-    builds = [(structurally_admissible_sets(m), 0) for m in range(2, 17)]
-    for s in ((40, 80), (3, 9, 30), (2, 5, 40), (120, 240)):
-        closure = sorted(filter(None, engine._closure(s)), key=lambda t: t[-1])
-        builds.append((closure, len(closure) - 1))
-    for sets, start in builds:
+    builds = [structurally_admissible_sets(m) for m in range(2, 17)]
+    for s in ((40, 80), (3, 9, 30), (2, 5, 40), (120, 240), (5, 10, 20, 40, 80)):
+        builds.append(engine._chain(s))
+    for sets in builds:
         bound = engine._limb_bound(sets)
-        assert bound >= max(_reference_limb_bounds(sets).values()), sets[-1]
-        assert all(bound > c for _, raw in engine._build(sets, start) for c in raw), sets[-1]
+        assert bound >= max(max(b) for b in _reference_limb_bounds(sets).values()), sets[-1]
+        width = (bound.bit_length() // 64 + 1) * 64
+        for t, packed in engine._packed(sets, width):
+            assert all(bound > c for c in engine._limbs(packed, width)), t
+
+
+def _pivot_packed(sets, width):
+    # the paper's recursion on packed ints, the step the build made before
+    # the three-term step: the first difference of p_t is the sum of its
+    # derived sets' polynomials at centre m - 1, and p_t(m) = 0 anchors it
+    entries = {(): 1}
+    for t in sets:
+        m, d = t[-1], 0
+        for pair in derived_sets(t):
+            for part in ((pair.lowered,) if pair.lowered_admissible else ()) + (pair.omitted,):
+                entry = entries[part]
+                for _ in range(part[-1] if part else m - 1, m - 1):
+                    entry += entry >> width  # one Pascal step
+                d += entry
+        entries[t] = (d + (d >> width)) << width
+        yield t, entries[t]
+
+
+def test_the_three_term_step_packs_what_the_paper_recursion_packs():
+    # every packed int of the sweep to 22, at its own width, equals the one
+    # that the derived-set recursion makes; none trips
+    import peakpoly.engine as engine
+    sets = structurally_admissible_sets(22)
+    width = (engine._limb_bound(sets).bit_length() // 64 + 1) * 64
+    assert width == 128
+    assert list(engine._packed(sets, width)) == list(_pivot_packed(sets, width))
+    high = sum(1 << width - 1 << j * width for j in range(22))
+    assert not any(packed < 0 or packed & high for _, packed in engine._packed(sets, width))
+
+
+def test_the_chain_is_the_closure_under_the_three_term_step():
+    # S closed under t -> (t minus max t, that set plus max t - 1), with ()
+    # and the inadmissible sets left out: at most max(S) - 1 sets, in
+    # increasing maximum, S last
+    import peakpoly.engine as engine
+    for s in structurally_admissible_sets(14) + [(5, 10, 20, 40, 80), (2, 4, 6, 30)]:
+        closure, pending = set(), [s]
+        while pending:
+            t = pending.pop()
+            if t and is_structurally_admissible(t) and t not in closure:
+                closure.add(t)
+                pending += [t[:-1], t[:-1] + (t[-1] - 1,)]
+        chain = engine._chain(s)
+        assert sorted(chain) == sorted(closure) and len(chain) <= s[-1] - 1, s
+        assert chain[-1] == s
+        assert all(a[-1] < b[-1] for a, b in zip(chain, chain[1:])), s

@@ -1,11 +1,12 @@
 import json
 import multiprocessing.process
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peakpoly.engine import derived_sets, peak_polynomial
+from peakpoly.engine import NegativeCoefficientError, derived_sets, peak_polynomial
 from peakpoly.intpoly import BinomialPolynomial, sum_polynomials
 from peakpoly.perms import InadmissibleSetError, structurally_admissible_sets
 from peakpoly.verify import (
@@ -52,15 +53,15 @@ def test_positivity_rejects_bad_inputs():
 
 def test_a_bad_k_max_is_refused_before_any_walk_or_build(monkeypatch):
     # k_max is input, checked at the public entries: a k_max below max(S)
-    # is refused before the down-closure of S is walked or built
+    # is refused before the chain of S is built or a down-closure walked
     import peakpoly.engine as engine
     import peakpoly.verify as verify
 
     def refuse(*args):
-        raise AssertionError("walked or built the down-closure before refusing k_max")
+        raise AssertionError("built the chain or walked the down-closure before refusing k_max")
 
-    for module in (engine, verify):
-        monkeypatch.setattr(module, "_closure", refuse)
+    for name in ("_closure", "_chain"):
+        monkeypatch.setattr(engine, name, refuse)
     monkeypatch.setattr(verify, "_peak_coefficients", refuse)
     k_max_error = r"^k_max must be >= max\(S\) = 6, got 5$"
     with pytest.raises(ValueError, match=k_max_error):
@@ -152,7 +153,7 @@ def test_verdicts_come_from_witnesses(monkeypatch, plant_coefficients):
 
     # the planted tuple of test_structural_checks_report_witnesses fails four
     # checks (counts too: its formula leg disagrees) and passes logconcavity
-    monkeypatch.setattr(verify, "_peak_coefficients", lambda s, closure: (1, 2, 0, 5))
+    monkeypatch.setattr(verify, "_peak_coefficients", lambda s: (1, 2, 0, 5))
     report = verify_set((3,), ALL_CHECKS)
     assert _verdicts_match_witnesses(report)
     assert [c.name for c in report.checks if c.passed] == ["logconcavity"]
@@ -452,10 +453,10 @@ def test_sweep_coefficients_satisfy_the_first_difference_identity(monkeypatch):
 
 def test_sweep_memo_equals_the_closure_build(monkeypatch):
     # what the sweep's one table hands the checks, set by set, is what a
-    # cold down-closure build gives for that set alone
+    # cold build of that set's chain gives for that set alone
     import peakpoly.verify as verify
-    sets = structurally_admissible_sets(14)
-    assert len(sets) == 609
+    sets = structurally_admissible_sets(16)
+    assert len(sets) == 1596
     build, handed = verify._build, []
 
     def recording(sets, *start):
@@ -464,8 +465,38 @@ def test_sweep_memo_equals_the_closure_build(monkeypatch):
             yield t, raw
 
     monkeypatch.setattr(verify, "_build", recording)
-    sweep(14)
+    sweep(16)
     assert handed == [(s, peak_polynomial(s).coeffs) for s in sets]
+
+
+def test_a_negative_limb_trips_and_ends_the_build(plant_negative_limb):
+    # an entry with a negative coefficient trips the sign test: the sweep
+    # is handed that set with its exact coefficients, reports it with a
+    # positivity witness, and builds no set after it; a set whose chain
+    # holds it cannot be built.  (7,)'s c_6 is its top coefficient, so its
+    # packed int is < 0; the others keep a top bit set in a limb
+    sets = structurally_admissible_sets(8)
+    exact = {s: peak_polynomial(s).coeffs for s in sets}
+    for target, j in (((3, 5), 1), ((2, 5, 8), 3), ((7,), 6)):
+        plant_negative_limb(target, j)
+        summary = sweep(8)
+        (report,) = summary.failures
+        assert summary.sets_checked == sets.index(target) + 1, target
+        assert report.positions == target
+        assert report.coefficients == tuple(-1 if i == j else c
+                                            for i, c in enumerate(exact[target] + (0,)))
+        assert {c.name: c.witness for c in report.checks}["positivity"] == (j, target[-1])
+        assert sweep(8, ("logconcavity",)).sets_checked == summary.sets_checked
+
+        # the set itself is handed out as it came; a set above it is refused
+        assert peak_polynomial(target).coeffs[j] == -1
+        above = target[:-1] + (target[-1] + 2,)
+        braced = "{" + ",".join(map(str, target)) + "}"
+        message = "^" + re.escape(f"p_S for S = {braced} has c_{j} = -1 < 0; ")
+        with pytest.raises(NegativeCoefficientError, match=message):
+            peak_polynomial(above)
+        with pytest.raises(NegativeCoefficientError):
+            verify_set(above, ALL_CHECKS, n_max=above[-1] + 1)
 
 
 def test_sweep_and_build_keep_no_table():
@@ -536,9 +567,9 @@ def test_report_coefficients_pad_to_length_m_plus_one():
 
 
 def test_verify_set_walks_the_down_closure_once(monkeypatch):
-    # the build and the counts recursion share one walk
+    # only the counts recursion walks the down-closure, once; the build
+    # reads the chain of the set
     import peakpoly.engine as engine
-    import peakpoly.verify as verify
     expected = verify_set((4, 6, 9), ALL_CHECKS, n_max=12).to_json_dict()
     walk, walks = engine._closure, []
 
@@ -546,7 +577,7 @@ def test_verify_set_walks_the_down_closure_once(monkeypatch):
         walks.append(s)
         return walk(s)
 
-    for module in (engine, verify):
-        monkeypatch.setattr(module, "_closure", counting)
+    monkeypatch.setattr(engine, "_closure", counting)
     assert verify_set((4, 6, 9), ALL_CHECKS, n_max=12).to_json_dict() == expected
     assert walks == [(4, 6, 9)]
+    assert verify_set((4, 6, 9)).passed and walks == [(4, 6, 9)]
