@@ -63,18 +63,6 @@ def _slides(s: PeakSet) -> list[tuple[int, PeakSet, bool, PeakSet]]:
     return out
 
 
-def _parts(t: PeakSet) -> list[tuple[int, PeakSet]]:
-    """The admissible derived sets of a canonical, admissible t (none if
-    t is empty), weighted as in the count recursion (2 if lowered, 1 if
-    omitted); the last is t[:-1], omitted at the last pivot."""
-    parts = []
-    for _, lowered, lowered_admissible, omitted in _slides(t):
-        if lowered_admissible:
-            parts.append((2, lowered))
-        parts.append((1, omitted))
-    return parts
-
-
 def derived_sets(positions: Iterable[int]) -> tuple[DerivedPair, ...]:
     """All |S| derived (lowered, omitted) pairs of a peak set, in position order.
 
@@ -98,7 +86,9 @@ def peak_polynomial(positions: Iterable[int]) -> BinomialPolynomial:
 
 
 def _closure(s: PeakSet) -> dict[PeakSet, list[tuple[int, PeakSet]]]:
-    """Each set in the closure of s under derived sets, with its _parts.
+    """Each set t in the closure of s under derived sets, with its weighted
+    terms in the count recursion, whose only reader is _recursion_counts:
+    (2, t), then (2, lowered) per admissible lowered and (1, omitted) per omitted.
 
     s must be canonical and admissible; the walk keeps an explicit stack.
     """
@@ -108,8 +98,12 @@ def _closure(s: PeakSet) -> dict[PeakSet, list[tuple[int, PeakSet]]]:
         t = pending.pop()
         if t in closure:
             continue
-        closure[t] = _parts(t)
-        pending += [u for _, u in closure[t]]
+        terms = closure[t] = [(2, t)]
+        for _, lowered, lowered_admissible, omitted in _slides(t):
+            if lowered_admissible:
+                terms.append((2, lowered))
+            terms.append((1, omitted))
+        pending += [u for _, u in terms]
     return closure
 
 
@@ -210,7 +204,7 @@ def _packed(sets: Sequence[PeakSet], width: int) -> Iterator[tuple[PeakSet, int]
     """(t, p_t packed into one int) for each t of sets, in order.
 
     Limb j, width bits wide, holds c_j at centre m = max(t); entries are
-    keyed by bitmask.  The step is x = 2a + b, P = (a & MASK) ROW - x -
+    keyed by their sets.  The step is x = 2a + b, P = (a & MASK) ROW - x -
     (x >> width): a is t1's entry at centre m - 1, b t2's (0 when
     m - max(t1) <= 2), ROW is C(x, m - 1) at centre m (limb j C(m, j + 1)).
     t2 is read once, one level up; a t1 of maximum k first by
@@ -230,8 +224,8 @@ def _packed(sets: Sequence[PeakSet], width: int) -> Iterator[tuple[PeakSet, int]
     top = sets[-1][-1]
     mask = (1 << width) - 1
     row = 0  # C(x, m - 1) at centre m
-    kept = {0: 1}  # each t1's entry, at the centre m - 1 of its last reader
-    levels: dict[int, dict[int, int]] = {}  # by maximum, entries not yet read as t1
+    kept = {(): 1}  # each t1's entry, at the centre m - 1 of its last reader
+    levels: dict[int, dict[PeakSet, int]] = {}  # by maximum, entries not yet read as t1
     m = 0
     for t in sets:
         if t[-1] != m:
@@ -240,19 +234,16 @@ def _packed(sets: Sequence[PeakSet], width: int) -> Iterator[tuple[PeakSet, int]
                 levels.pop(m - 3, None)
             previous = levels.get(m - 1, {})
             stored = levels[m] = {}
-        bits = 0
-        for v in t:
-            bits |= 1 << v
-        u = bits ^ 1 << m  # t1
-        low = t[-2] if len(t) > 1 else 0  # max(t1)
+        u = t[:-1]  # t1
+        low = u[-1] if u else 0  # max(t1)
         a = kept[u] if u in kept else levels[low].pop(u)
         kept[u] = a = a + (a >> width)
         x = 2 * a
         if m - low > 2:  # else t2 has adjacent elements or 1
-            x += previous[u | 1 << (m - 1)]
+            x += previous[u + (m - 1,)]
         packed = (a & mask) * row - x - (x >> width)
         if m < top:
-            stored[bits] = packed
+            stored[t] = packed
         yield t, packed
 
 
@@ -294,12 +285,11 @@ def _recursion_counts(s: PeakSet) -> Iterator[int]:
     if _violation(s) is not None:
         yield from itertools.repeat(0)  # never returns
     closure = _closure(s)
-    terms = {t: [(2, t), *rule] for t, rule in closure.items()}
-    counts = {t: 0 if t else 1 for t in terms}
+    counts = {t: 0 if t else 1 for t in closure}
     for q in itertools.count(2):
         yield counts[s]
-        counts = {t: sum(w * counts[u] for w, u in rule) if not t or t[-1] < q else 0
-                  for t, rule in terms.items()}
+        counts = {t: sum(w * counts[u] for w, u in terms) if not t or t[-1] < q else 0
+                  for t, terms in closure.items()}
 
 
 def count_via_recursion(positions: Iterable[int], n: int) -> int:

@@ -254,10 +254,15 @@ def test_deep_set_builds_without_recursion():
     assert count_via_formula((1200,), 1201) == count_via_recursion((1200,), 1201)
 
 
-def test_a_chain_build_keeps_a_few_entries_not_all():
+def test_a_chain_build_keeps_a_few_entries_not_all(monkeypatch):
     # {k} is read by {k + 1} only, so the build of {600} drops each entry
-    # two levels on; keeping all 599, each of up to 600 limbs, takes ~19 MB
+    # two levels on; keeping all 599, each of up to 600 limbs, takes ~19 MB.
+    # The limb bound is computed untraced: its many small lists make up
+    # most of the traced time, and none is alive once the build starts
     import tracemalloc
+    import peakpoly.engine as engine
+    bound = engine._limb_bound(engine._chain((600,)))
+    monkeypatch.setattr(engine, "_limb_bound", lambda sets: bound)
     tracemalloc.start()
     try:
         peak_polynomial((600,))
@@ -270,9 +275,10 @@ def test_a_chain_build_keeps_a_few_entries_not_all():
 def test_counts_match_for_larger_n_without_enumeration():
     # the two non-enumerative routes must agree far beyond the scan cap;
     # the formula packs (40, 80) into 192-bit limbs, and the recursion
-    # shares no packing
+    # shares no packing; the closure of (2, 4, ..., 16) has 256 sets, of
+    # up to 8 elements
     cases = [(s, (12, 17, 25)) for s in ((2,), (4, 6), (2, 5, 9))]
-    for s, ns in cases + [((40, 80), range(81, 86))]:
+    for s, ns in cases + [((40, 80), range(81, 86)), (tuple(range(2, 17, 2)), range(17, 31))]:
         for n in ns:
             assert count_via_formula(s, n) == count_via_recursion(s, n)
 

@@ -451,7 +451,7 @@ def test_sweep_coefficients_satisfy_the_first_difference_identity(monkeypatch):
         assert built[s].evaluate(m) == 0 and built[s].coeffs[0] == 0, s
 
 
-def test_sweep_memo_equals_the_closure_build(monkeypatch):
+def test_sweep_table_equals_the_chain_build(monkeypatch):
     # what the sweep's one table hands the checks, set by set, is what a
     # cold build of that set's chain gives for that set alone
     import peakpoly.verify as verify
