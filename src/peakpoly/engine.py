@@ -17,7 +17,7 @@ the exhaustive oracle, and each route can cross-check the others.
 
 import itertools
 import struct
-from operator import add, lshift, mul, or_
+from operator import add, itemgetter, lshift, mul, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from peakpoly.intpoly import BinomialPolynomial
@@ -85,26 +85,33 @@ def peak_polynomial(positions: Iterable[int]) -> BinomialPolynomial:
     return BinomialPolynomial(s[-1] if s else 0, _peak_coefficients(s))
 
 
-def _closure(s: PeakSet) -> dict[PeakSet, list[tuple[int, PeakSet]]]:
-    """Each set t in the closure of s under derived sets, with its weighted
-    terms in the count recursion, whose only reader is _recursion_counts:
-    (2, t), then (2, lowered) per admissible lowered and (1, omitted) per omitted.
+def _closure(s: PeakSet) -> tuple[list[int], list[itemgetter]]:
+    """The closure of s under derived sets, as the count recursion's index
+    table: the maximum of each set (0 for ()), in increasing order, so ()
+    is first and s last, and for each set one getter over those positions
+    that reads its terms, t itself and each admissible lowered set twice
+    (weight 2), each omitted set once.  So every getter has at least two
+    indices and returns a tuple, whose sum is the set's next count.
 
-    s must be canonical and admissible; the walk keeps an explicit stack.
+    s must be canonical and admissible; the walk keeps an explicit stack,
+    and the sets themselves are dropped once the table is built.
     """
-    closure: dict[PeakSet, list[tuple[int, PeakSet]]] = {}
+    terms: dict[PeakSet, list[PeakSet]] = {}
     pending = [s]
     while pending:
         t = pending.pop()
-        if t in closure:
+        if t in terms:
             continue
-        terms = closure[t] = [(2, t)]
+        parts = terms[t] = [t, t]
         for _, lowered, lowered_admissible, omitted in _slides(t):
             if lowered_admissible:
-                terms.append((2, lowered))
-            terms.append((1, omitted))
-        pending += [u for _, u in terms]
-    return closure
+                parts += (lowered, lowered)
+            parts.append(omitted)
+        pending += parts
+    order = sorted(terms, key=lambda t: t[-1] if t else 0)
+    index = {t: i for i, t in enumerate(order)}
+    return ([t[-1] if t else 0 for t in order],
+            [itemgetter(*map(index.__getitem__, terms[t])) for t in order])
 
 
 def _chain(s: PeakSet) -> list[PeakSet]:
@@ -194,7 +201,8 @@ def _limb_bound(sets: Sequence[PeakSet]) -> int:
             v, b = g[k - 1], below.get(k, [])
             x = [*map(add, map(add, v, v), b), *map(add, v[len(b):], v[len(b):]), *b[len(v):]]
             x += [0] * (m + 1 - len(x))
-            b = level[k] = list(map(add, map(add, map(mul, row, itertools.repeat(v[0])), x), x[1:]))
+            scaled = row if v[0] == 1 else map(mul, row, itertools.repeat(v[0]))  # 1 for size 1
+            b = level[k] = list(map(add, map(add, scaled, x), x[1:]))
             if k not in sizes.get(m + 1, ()):
                 largest = max(largest, *b)
     return largest
@@ -280,16 +288,21 @@ def _recursion_counts(s: PeakSet) -> Iterator[int]:
 
     count(t, q) = 2 count(t, q-1) + the sum over derived pairs of
     2 count(lowered, q-1) + count(omitted, q-1) when max(t) < q, else 0,
-    over the closure of s under derived sets, one length at a time.
+    over the closure of s under derived sets, one length at a time.  The
+    counts of one length are a list in _closure's order; the sets with
+    max < q, the first `active`, each sum their getter's reads of the
+    previous list, one C-level pass per length, and the rest stay 0.
     """
     if _violation(s) is not None:
         yield from itertools.repeat(0)  # never returns
-    closure = _closure(s)
-    counts = {t: 0 if t else 1 for t in closure}
+    tops, getters = _closure(s)
+    size, active = len(tops), 0
+    counts = [1] + [0] * (size - 1)  # length 1: only () is counted
     for q in itertools.count(2):
-        yield counts[s]
-        counts = {t: sum(w * counts[u] for w, u in terms) if not t or t[-1] < q else 0
-                  for t, terms in closure.items()}
+        yield counts[-1]
+        while active < size and tops[active] < q:
+            active += 1
+        counts = [sum(g(counts)) for g in getters[:active]] + [0] * (size - active)
 
 
 def count_via_recursion(positions: Iterable[int], n: int) -> int:

@@ -17,7 +17,7 @@ sweep that finds nothing scans no witness and builds no report.
 
 import itertools
 import time
-from operator import ge, mul
+from operator import add, ge, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -193,11 +193,13 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
             witness = None
             rows = {}
             # every n here is >= m + 1, so an admissible s is n-admissible,
-            # and raw = () gives the formula count 0 for an inadmissible one
-            formula_poly = BinomialPolynomial(m, raw)
+            # and raw = () gives the formula count 0 for an inadmissible one;
+            # values holds p_s at centre n, one Pascal step on per length
+            values = list(raw) or [0]
             recursion_column = itertools.islice(_recursion_counts(s), m, None)
             for n, recursion in zip(range(m + 1, n_max + 1), recursion_column):
-                formula = formula_poly.evaluate(n) * 2 ** (n - len(s) - 1)
+                values[:-1] = map(add, values, values[1:])
+                formula = values[0] << (n - len(s) - 1)
                 brute = enumerate_by_peak_set(n, max_n).get(s, 0) if n <= max_n else None
                 rows[str(n)] = {
                     "formula": str(formula),

@@ -1,3 +1,4 @@
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,7 @@ from peakpoly.intpoly import BinomialPolynomial, sum_polynomials
 from peakpoly.perms import (
     EnumerationCapError,
     InadmissibleSetError,
+    _violation,
     count_bruteforce,
     enumerate_by_peak_set,
     is_structurally_admissible,
@@ -421,6 +423,30 @@ def test_the_limb_bound_covers_every_coefficient_with_no_sign_assumed():
             assert all(bound > c for c in engine._limbs(packed, width)), t
 
 
+def test_the_limb_bound_is_pinned_on_deep_chains_and_a_sweep():
+    # values of the bound when every class, size 1 too, scaled the binomial
+    # row by g_(k-1)[0]: reading the row itself where that is 1 moves none
+    import peakpoly.engine as engine
+    pinned = {
+        (1200,): int(
+            "17218479456385750618067377696052635483579924745448689921733236816400"
+            "74069124174561939748453723604617328637091903196158778858492729081666"
+            "10249916098827287173446595034716559908808846798965200551239064670644"
+            "19056526231345685268240569209892573766037966584735183775739433978714"
+            "57858778270138079724077247764787455598671274627136289222751620531891"
+            "4435913511141036263772"),
+        (200, 400): int(
+            "13676361647483849731293730678725597899666492475653249567706167387630"
+            "73895495325401643409418202464823307830335956753381166932381165312912"
+            "65972443099785392116265335608475084960021788869961829171919858394775"
+            "689498851626901649790686964900295413"),
+        (5, 10, 20, 40, 80): 122841689806616064552398630633976846789674370735825566011511563728,
+    }
+    for s, bound in pinned.items():
+        assert engine._limb_bound(engine._chain(s)) == bound, s
+    assert engine._limb_bound(structurally_admissible_sets(20)) == 3347903864779873798912
+
+
 def _pivot_packed(sets, width):
     # the paper's recursion on packed ints, the step the build made before
     # the three-term step: the first difference of p_t is the sum of its
@@ -466,3 +492,47 @@ def test_the_chain_is_the_closure_under_the_three_term_step():
         assert sorted(chain) == sorted(closure) and len(chain) <= s[-1] - 1, s
         assert chain[-1] == s
         assert all(a[-1] < b[-1] for a, b in zip(chain, chain[1:])), s
+
+
+def _reference_recursion_counts(s):
+    # the count recursion stepped over dicts keyed by set, one generator
+    # sum per set per length: the step that the index table replaced
+    if _violation(s) is not None:
+        yield from itertools.repeat(0)
+    import peakpoly.engine as engine
+    closure, pending = {}, [s]
+    while pending:
+        t = pending.pop()
+        if t not in closure:
+            terms = closure[t] = [(2, t)]
+            for _, lowered, lowered_admissible, omitted in engine._slides(t):
+                if lowered_admissible:
+                    terms.append((2, lowered))
+                terms.append((1, omitted))
+            pending += [u for _, u in terms]
+    counts = {t: 0 if t else 1 for t in closure}
+    for q in itertools.count(2):
+        yield counts[s]
+        counts = {t: sum(w * counts[u] for w, u in terms) if not t or t[-1] < q else 0
+                  for t, terms in closure.items()}
+
+
+def test_the_index_table_steps_what_the_dict_recursion_steps():
+    # lengths 1..40 on (), every admissible set with max <= 10, and
+    # inadmissible sets, whose columns are all zeros
+    import peakpoly.engine as engine
+    inadmissible = [(1,), (2, 3), (1, 4), (4, 5, 9), (3, 7, 8)]
+    for s in [()] + structurally_admissible_sets(10) + inadmissible:
+        column = list(itertools.islice(engine._recursion_counts(s), 40))
+        assert column == list(itertools.islice(_reference_recursion_counts(s), 40)), s
+        assert any(column) == (s not in inadmissible), s
+
+
+def test_the_recursion_switches_a_set_on_past_its_maximum():
+    # count(S, max S) = 0 and count(S, max S + 1) is the S_n count: a set
+    # counted one length early shows at n = max S
+    import peakpoly.engine as engine
+    for s in structurally_admissible_sets(9):
+        column = list(itertools.islice(engine._recursion_counts(s), s[-1] + 1))
+        assert column[s[-1] - 1] == 0, s
+        assert column[s[-1]] == count_bruteforce(s, s[-1] + 1), s
