@@ -201,12 +201,7 @@ def _render_report_text(report) -> str:
 def _cmd_verify(args) -> int:
     s, cap = args.set, args.enum_cap
     checks = _parse_checks(args.checks)
-    k_extra = 5
-    if args.k_max is not None:
-        m = s[-1] if s else 0
-        if args.k_max < m:
-            raise _UsageError(f"--k-max must be >= max(S) = {m}")
-        k_extra = args.k_max - m
+    k_extra = 5 if args.k_max is None else args.k_max - (s[-1] if s else 0)
     report = verify_set(s, checks, k_extra=k_extra, n_max=args.n_max, max_n=cap)
 
     if args.format == "json":

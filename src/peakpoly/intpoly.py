@@ -160,16 +160,20 @@ class BinomialPolynomial:
         return BinomialPolynomial(self.center, (value,) + self.coeffs)
 
     def difference_table(self, jmax: int, kmin: int, kmax: int) -> "DifferenceTable":
-        """Tabulate (D^j f)(k) for j = 0..jmax and k = kmin..kmax."""
+        """Tabulate (D^j f)(k) for j = 0..jmax and k = kmin..kmax.
+
+        Column k is coefficients 0..jmax at centre k: one shift to kmin, then
+        one Pascal step per column, O(K * d + d^2) for K columns and degree d."""
         if jmax < 0:
             raise ValueError("jmax must be >= 0")
         if kmin > kmax:
             raise ValueError("kmin must be <= kmax")
-        rows = []
-        for j in range(jmax + 1):
-            dj = self.forward_difference(j)
-            rows.append(tuple(dj.evaluate(k) for k in range(kmin, kmax + 1)))
-        return DifferenceTable(jmax, kmin, kmax, tuple(rows))
+        column = _shift_center(list(self.coeffs), kmin - self.center) + [0] * (jmax - self.degree)
+        columns = []
+        for _ in range(kmin, kmax + 1):
+            columns.append(column[:jmax + 1])
+            column[:-1] = map(add, column, column[1:])
+        return DifferenceTable(jmax, kmin, kmax, tuple(zip(*columns)))
 
     def __add__(self, other):
         if not isinstance(other, BinomialPolynomial):

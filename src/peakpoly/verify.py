@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from peakpoly.engine import _build, _peak_coefficients, _recursion_counts
-from peakpoly.intpoly import BinomialPolynomial, _shift_center
+from peakpoly.intpoly import _shift_center
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -166,13 +166,14 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
     notes: dict = {}
     for name in names:
         if name == "positivity":
-            order_m_witness = None
-            if raw[m:]:
-                # a nonzero polynomial of degree e cannot vanish at e+1 consecutive points
-                order_m = BinomialPolynomial(m, raw[m:])
-                order_m_witness = next(
-                    (m, k) for k in range(m, m + order_m.degree + 2)
-                    if order_m.evaluate(k) != 0)
+            # (D^m p)(k), entry 0 of raw[m:] stepped k - m times, is nonzero at
+            # one of k = m..m+e: a polynomial of degree e cannot vanish at e+1 points
+            order_m, order_m_witness = list(raw[m:]), None
+            for k in range(m, len(raw)):
+                if order_m[0]:
+                    order_m_witness = (m, k)
+                    break
+                order_m[:-1] = map(add, order_m, order_m[1:])
             degree = len(raw) - 1
             witnesses += [
                 ("positivity", _positivity_violation(raw, m, k_max)),

@@ -270,6 +270,22 @@ def test_verify_k_max_flag(capsys):
     assert code == 1
 
 
+def test_verify_k_max_is_checked_by_the_library_alone(capsys):
+    # one check, after the set's own: a low --k-max gets the library's
+    # error line, an inadmissible set still exits 2, and a check that
+    # reads no k_max accepts any
+    code, _, err = run_cli(capsys, "verify", "--set", "4,6", "--k-max", "5")
+    assert code == 1
+    assert err.splitlines() == ["error: k_max must be >= max(S) = 6, got 5"]
+    code, _, err = run_cli(capsys, "verify", "--set", "2,3", "--k-max", "1")
+    assert code == 2
+    assert "inadmissible" in err
+    code, out, _ = run_cli(capsys, "verify", "--set", "4,6", "--checks", "logconcavity",
+                           "--k-max", "2")
+    assert code == 0
+    assert "logconcavity: pass" in out
+
+
 def test_sweep_text_and_exit(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--max-m", "6")
     assert code == 0

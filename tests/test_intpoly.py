@@ -194,14 +194,27 @@ def test_difference_table_validation():
         P46.difference_table(2, 4, 3)
 
 
-@given(polynomials, st.integers(min_value=-10, max_value=20),
-       st.integers(min_value=1, max_value=4))
-def test_table_cells_satisfy_difference_recurrence(p, kmin, width):
-    table = p.difference_table(min(p.degree + 2, 6) if p.coeffs else 2,
-                               kmin, kmin + width)
+@given(polynomials, st.integers(min_value=0, max_value=16),
+       st.integers(min_value=-10, max_value=20), st.integers(min_value=1, max_value=4))
+def test_table_cells_satisfy_difference_recurrence(p, jmax, kmin, width):
+    # jmax runs below and past the degree (at most 12)
+    table = p.difference_table(jmax, kmin, kmin + width)
     for j in range(1, table.jmax + 1):
         for k in range(kmin, kmin + width):
             assert table.value(j, k) == table.value(j - 1, k + 1) - table.value(j - 1, k)
+    # the reference reading: each cell evaluated on its own difference polynomial
+    for j in range(jmax + 1):
+        for k in range(kmin, kmin + width + 1):
+            assert table.value(j, k) == p.forward_difference(j).evaluate(k)
+
+
+def test_the_difference_table_evaluates_no_cell(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("difference_table read a cell by evaluation")
+
+    monkeypatch.setattr(BinomialPolynomial, "evaluate", refuse)
+    monkeypatch.setattr(BinomialPolynomial, "forward_difference", refuse)
+    assert P46.difference_table(6, 0, 6).cells == GOLDEN_TABLE
 
 
 def test_table_csv_layout():

@@ -244,6 +244,38 @@ def test_positivity_violation_matches_evaluating_scan(center, coeffs, m, k_extra
             == _reference_positivity_violation(poly, m, m + k_extra))
 
 
+def _reference_order_m_witness(raw, m):
+    # (D^m p)(k) read by evaluating the order-m difference at each centre,
+    # for raw longer than m
+    order_m = BinomialPolynomial(m, raw[m:])
+    return next((m, k) for k in range(m, m + order_m.degree + 2) if order_m.evaluate(k) != 0)
+
+
+@st.composite
+def _planted_past_m(draw):
+    # a trimmed tuple longer than m: anything up to j = m - 1, then an
+    # order-m tail whose leading entries are often 0, so the witness can
+    # sit past centre m
+    m = draw(st.integers(min_value=1, max_value=10))
+    head = draw(st.lists(st.integers(min_value=-3, max_value=6), min_size=m, max_size=m))
+    tail = draw(st.lists(st.integers(min_value=-2, max_value=2), max_size=5))
+    last = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+    return tuple(head + tail + [last]), m
+
+
+@given(_planted_past_m(), st.integers(min_value=0, max_value=6))
+def test_order_m_witness_matches_the_evaluating_scan(raw_and_centre, k_extra):
+    raw, m = raw_and_centre
+    k_max = m + k_extra
+    positivity = _reference_positivity_violation(BinomialPolynomial(m, raw), m, k_max)
+    expected = (("positivity", positivity),
+                ("order-m-difference-zero", _reference_order_m_witness(raw, m)),
+                ("zero-at-max", (0, m) if raw[0] else None),
+                ("degree", len(raw) - 1))  # past m - 1 by construction
+    assert (_verify((m,), raw, ("positivity",), k_max).checks
+            == tuple(CheckResult(name, w is None, w) for name, w in expected))
+
+
 @given(st.lists(st.integers(min_value=-3, max_value=6), max_size=9),
        st.integers(min_value=2, max_value=10))
 def test_log_concavity_witness_matches_the_padded_scan(raw, m):
