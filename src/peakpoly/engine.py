@@ -131,10 +131,13 @@ class NegativeCoefficientError(ArithmeticError):
 
 def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
     """Coefficients of p_s at centre max(s), trimmed of trailing zeros (so
-    the degree check can see a short result), for a canonical, admissible
-    s; (1,) for ().  Built from the chain of s, unless a set below s trips."""
+    the degree check can see a short result), for a canonical s; (1,) for
+    () and () for an inadmissible s, whose p is 0 (see _build).  Built
+    from the chain of s, unless a set below s trips."""
     if not s:
         return (1,)
+    if _violation(s) is not None:
+        return ()
     sets = _chain(s)
     for t, coeffs in _build(sets, len(sets) - 1):
         pass
@@ -257,18 +260,16 @@ def _packed(sets: Sequence[PeakSet], width: int) -> Iterator[tuple[PeakSet, int]
 
 def _limbs(packed: int, width: int) -> tuple[int, ...]:
     """The limbs of packed, width (a multiple of 64) bits each, lowest
-    first, up to the last nonzero one, from one unpack into 64-bit words,
-    ORed at C level when a word above a limb's lowest is not 0."""
+    first, up to the last nonzero one, from one unpack into 64-bit words;
+    each column of upper words is ORed in at C level, unless all 0."""
     count = -(-packed.bit_length() // width)
     words = struct.unpack(f"<{count * width // 64}Q", packed.to_bytes(count * width // 8, "little"))
     step = width // 64
     limbs = words[::step]
-    high = list(words)
-    del high[::step]  # the words above each limb's lowest
-    if not any(high):
-        return limbs
     for i in range(1, step):
-        limbs = map(or_, limbs, map(lshift, words[i::step], itertools.repeat(64 * i)))
+        column = words[i::step]
+        if any(column):
+            limbs = map(or_, limbs, map(lshift, column, itertools.repeat(64 * i)))
     return tuple(limbs)
 
 
@@ -277,7 +278,7 @@ def count_via_formula(positions: Iterable[int], n: int) -> int:
     s = as_peak_set(positions)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if _violation(s) is not None or (s and s[-1] >= n):
+    if s and s[-1] >= n:
         return 0
     poly = BinomialPolynomial(s[-1] if s else 0, _peak_coefficients(s))
     return poly.evaluate(n) * 2 ** (n - len(s) - 1)

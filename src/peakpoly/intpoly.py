@@ -88,10 +88,11 @@ class BinomialPolynomial:
         for c in coeffs:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficients must be integers, got {c!r}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", coeffs[:end])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

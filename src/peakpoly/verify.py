@@ -6,13 +6,13 @@ j = 0..m with m = max(S), plus one record per named check.  A failed check
 records a witness that reproduces the violation standalone; none is
 expected to fail, so a failure signals an implementation bug.
 
-The public functions validate their input once (the check names before
-the set, and k_max before any build) and read the coefficients once; one
-private function, _verify, then decides each selected check's witness,
-None when it holds, in the branch that reports it, and reads its verdict
-off that witness.  The sweep first puts each set's coefficients through
-a quick test (_cleared) that only a set with no witness can pass, so a
-sweep that finds nothing scans no witness and builds no report.
+Each single-set function is verify_set with fixed checks, which validates
+its input once (check names, then the set, then k_max, before any build)
+and reads the coefficients once.  _verify decides each selected check's
+witness, None when it holds, in the branch that reports it, and reads
+its verdict off that witness.  The sweep first puts each set's
+coefficients through a quick test (_cleared) that only a set with no
+witness can pass, so a sweep that finds nothing builds no report.
 """
 
 import itertools
@@ -28,7 +28,6 @@ from peakpoly.perms import (
     EnumerationCapError,
     PeakSet,
     _admissible,
-    _violation,
     as_peak_set,
     enumerate_by_peak_set,
     structurally_admissible_sets,
@@ -85,11 +84,10 @@ def _positivity_violation(coeffs: tuple[int, ...], m: int,
     1 <= j <= m-1, m <= k <= k_max, for p given by its coefficients at
     centre m.
 
-    (D^j p)(k) is coefficient j at centre k (0 past the given ones); one
-    Pascal step moves the centre to k + 1, and a later centre can only
-    improve on a smaller j.  Once c_1..c_(m-1) > 0 and no c_(>=m) < 0, each
-    later centre only adds nonnegative terms, so the scan stops: a peak
-    polynomial (degree m - 1) is decided at centre m, with no shift.
+    (D^j p)(k) is coefficient j at centre k (0 past the given ones), and one
+    Pascal step, c_j + c_(j+1), moves the centre on.  The scan stops at the
+    first centre with no c_(>=1) < 0, witness or not: from there no c_j > 0
+    can fall to 0.  So a peak polynomial (degree m - 1) is decided at centre m.
     """
     coeffs = list(coeffs) + [0] * (m - len(coeffs))
     witness = None
@@ -100,7 +98,7 @@ def _positivity_violation(coeffs: tuple[int, ...], m: int,
             if coeffs[j] <= 0:
                 witness = (j, k)
                 break
-        if witness is None and min(coeffs[m:], default=0) >= 0:
+        if min(coeffs[1:], default=0) >= 0:
             break
     return witness
 
@@ -183,13 +181,12 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
             ]
             notes["k_max"] = k_max
         elif name == "logconcavity":
-            # the first j in 2..m-2 with c_j^2 < c_(j-1) * c_(j+1)
+            # c_j^2 - c_(j-1) c_(j+1), j = 2..m-2: the first < 0 is the witness, each 0 a tie
+            gaps = [coeffs[j] ** 2 - coeffs[j - 1] * coeffs[j + 1] for j in range(2, m - 1)]
             witnesses.append(("logconcavity", next(
-                (j for j in range(2, m - 1) if coeffs[j] ** 2 < coeffs[j - 1] * coeffs[j + 1]),
-                None)))
+                (j for j, gap in enumerate(gaps, 2) if gap < 0), None)))
             notes["unimodal"] = _is_unimodal(coeffs[1:m])
-            notes["log_concavity_ties"] = [
-                j for j in range(2, m - 1) if coeffs[j] ** 2 == coeffs[j - 1] * coeffs[j + 1]]
+            notes["log_concavity_ties"] = [j for j, gap in enumerate(gaps, 2) if gap == 0]
         else:
             witness = None
             rows = {}
@@ -225,9 +222,7 @@ def verify_positivity(positions: Iterable[int], k_max: int) -> VerificationRepor
     and deg p_S = m - 1.
     """
     s = _admissible(positions, _EMPTY)
-    if k_max < s[-1]:
-        raise ValueError(f"k_max must be >= max(S) = {s[-1]}, got {k_max}")
-    return _verify(s, _peak_coefficients(s), ("positivity",), k_max)
+    return verify_set(s, ("positivity",), k_extra=k_max - s[-1])
 
 
 def verify_log_concavity(positions: Iterable[int]) -> VerificationReport:
@@ -281,8 +276,6 @@ def verify_set(positions: Iterable[int],
         raise ValueError(f"n_max must be >= {bound}, got {n_max}")
     if k_extra < 0 and "positivity" in names:  # else positivity would scan no centre
         raise ValueError(f"k_max must be >= max(S) = {m}, got {m + k_extra}")
-    if counts_only and _violation(s) is not None:
-        return _verify(s, (), names, m + k_extra, n_max, max_n)
     return _verify(s, _peak_coefficients(s), names, m + k_extra, n_max, max_n)
 
 

@@ -223,6 +223,8 @@ def test_positivity_of_peak_polynomials_needs_no_shift(monkeypatch):
     monkeypatch.setattr("peakpoly.verify._shift_center", refuse)
     assert verify_positivity((4, 6), 100).passed
     assert sweep(10).failures == ()
+    # a witness found at centre m with no coefficient negative is final too
+    assert _positivity_violation((0, 3, 0, 5, 7, 2), 6, 10 ** 9) == (2, 6)
 
 
 def _reference_positivity_violation(poly, m, k_max):
@@ -364,6 +366,10 @@ def test_counts_check_validates_once(monkeypatch):
 def test_verify_counts_is_verify_set_with_counts():
     for s in ((), (4, 6), (3, 4)):
         assert verify_counts(s, 9) == verify_set(s, ("counts",), n_max=9)
+    for s in ((2,), (4, 6), (3, 7, 12)):
+        for k in (s[-1], s[-1] + 3):
+            assert verify_positivity(s, k) == verify_set(s, ("positivity",), k_extra=k - s[-1])
+        assert verify_log_concavity(s) == verify_set(s, ("logconcavity",))
 
 
 def test_verify_set_merges_checks():
@@ -417,8 +423,11 @@ def test_sweep_validates_no_set(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sweep validated a set")
 
-    for module in ("perms", "engine", "verify"):
-        for name in ("as_peak_set", "_admissible", "_violation"):
+    validators = ("as_peak_set", "_admissible", "_violation")
+    # verify imports no _violation: an inadmissible set reaches it as p = 0
+    for module, names in (("perms", validators), ("engine", validators),
+                          ("verify", validators[:2])):
+        for name in names:
             monkeypatch.setattr(f"peakpoly.{module}.{name}", refuse)
     patched = sweep(8)
     for field in ("m_max", "checks", "sets_checked", "failures"):
