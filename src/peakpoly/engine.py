@@ -18,7 +18,7 @@ the exhaustive oracle, and each route can cross-check the others.
 import itertools
 import struct
 from operator import add, itemgetter, lshift, mul, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from peakpoly.intpoly import BinomialPolynomial
 from peakpoly.perms import (
@@ -114,17 +114,6 @@ def _closure(s: PeakSet) -> tuple[list[int], list[itemgetter]]:
             [itemgetter(*map(index.__getitem__, terms[t])) for t in order])
 
 
-def _chain(s: PeakSet) -> list[PeakSet]:
-    """The nonempty admissible sets in the closure of s under t -> (t1, t2)
-    (see _build), in increasing maximum, s last: with a_0 = 0, each
-    (a_1, ..., a_(i-1), j) for a_(i-1) + 2 <= j <= a_i."""
-    chain, below = [], 0
-    for i, top in enumerate(s):
-        chain += [s[:i] + (j,) for j in range(below + 2, top + 1)]
-        below = top
-    return chain
-
-
 class NegativeCoefficientError(ArithmeticError):
     """The build of a set stopped below it, at a set with a negative coefficient."""
 
@@ -133,14 +122,14 @@ def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
     """Coefficients of p_s at centre max(s), trimmed of trailing zeros (so
     the degree check can see a short result), for a canonical s; (1,) for
     () and () for an inadmissible s, whose p is 0 (see _build).  Built
-    from the chain of s, unless a set below s trips."""
+    along the path to s, its chain, unless a set on it trips."""
     if not s:
         return (1,)
     if _violation(s) is not None:
         return ()
-    sets = _chain(s)
-    for t, coeffs in _build(sets, len(sets) - 1):
-        pass
+    handed = []  # s, or the set that tripped below it
+    _build(s, s[-1], lambda t, coeffs, tripped: handed.append((t, coeffs)))
+    ((t, coeffs),) = handed
     if t != s:
         j = next(j for j, c in enumerate(coeffs) if c < 0)
         raise NegativeCoefficientError(f"p_S for S = {{{','.join(map(str, t))}}} has c_{j} = "
@@ -148,51 +137,56 @@ def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
     return coeffs
 
 
-def _build(sets: Sequence[PeakSet],
-           start: int = 0) -> Iterator[tuple[PeakSet, tuple[int, ...]]]:
-    """(t, coefficients of p_t at centre max(t), trimmed) for each t of
-    sets[start:]: canonical, admissible sets, closed under t -> (t1, t2) in
-    increasing maximum.  With m = max(t), t1 = t minus m, t2 = t1 + (m - 1),
+def _build(path: PeakSet, top: int,
+           visit: Callable[[PeakSet, tuple[int, ...], bool], object]) -> None:
+    """visit(t, coefficients of p_t at centre max(t), trimmed, tripped)
+    for each set t that _walk(path, top) reaches, if path is () (a sweep
+    to top), else for path alone (of its chain, top = max(path)).  With
+    m = max(t), t1 = t minus m, t2 = t1 + (m - 1),
 
         p_t(x) = p_t1(m - 1) C(x, m - 1) - 2 p_t1(x) - p_t2(x),
 
-    p_() = 1 and p of an inadmissible set 0.  _packed does that in one pass
-    on whole polynomials packed into ints of W-bit limbs, W the least
-    multiple of 64 with _limb_bound(sets) < 2^(W-1).  A set that trips (see
-    _packed) is handed out wherever it is, exactly, and ends the build.
+    p_() = 1 and p of an inadmissible set 0, in W-bit limbs, W the least
+    multiple of 64 with _limb_bound < 2^(W-1) over the walk's (maximum,
+    size) classes.  A set that trips is handed out, exactly, with tripped
+    true, and no set built from it is built.
     """
-    width = (_limb_bound(sets).bit_length() // 64 + 1) * 64
+    sizes = {} if path else {m: range(1, m // 2 + 1) for m in range(2, top + 1)}
+    for i, (a, b) in enumerate(zip((0,) + path, path), 1):  # the chain's classes
+        sizes.update(dict.fromkeys(range(a + 2, b + 1), (i,)))
+    width = (_limb_bound(sizes).bit_length() // 64 + 1) * 64
     # 2^(W-1) in each limb of the top maximum, as many as any entry has
-    high = ((1 << sets[-1][-1] * width) - 1) // ((1 << width) - 1) << (width - 1)
-    for i, (t, packed) in enumerate(_packed(sets, width)):
+    high = ((1 << top * width) - 1) // ((1 << width) - 1) << (width - 1)
+
+    def unpack(t: PeakSet, packed: int) -> bool:
         if packed < 0 or packed & high:
             coeffs = [c - (1 << width - 1) for c in _limbs(packed + high, width)]
             while coeffs[-1] == 0:
                 coeffs.pop()
-            yield t, tuple(coeffs)
-            return
-        if i >= start:
-            yield t, _limbs(packed, width)
+            visit(t, tuple(coeffs), True)
+            return True
+        if not path or t[-1] == top:
+            visit(t, _limbs(packed, width), False)
+        return False
+
+    _walk(path, top, width, unpack)
 
 
-def _limb_bound(sets: Sequence[PeakSet]) -> int:
-    """The largest beta_(m, k)[j], a bound on |c_j| over the sets of
-    maximum m and size k, with no sign assumed.  g_k' bounds each set of
-    size k' and maximum <= m - 2 at centre m - 1, from g_0 = [1]; at each
-    level it takes in beta_(m-2, k') and moves a Pascal step,
-    P(v)[j] = v[j] + v[j + 1].  By the step, beta_(m, k)[j] =
-    g_(k-1)[0] C(m, j + 1) + P(x)[j], x = 2 g_(k-1) + beta_(m-1, k) (0 if
-    not built) bounding _packed's x.  As P(v) >= v, beta_(m, k) covers x
-    and the kept entries, and beta_(m+1, k) covers beta_(m, k)."""
-    sizes: dict[int, set[int]] = {}  # by maximum, the sizes of its classes
-    for t in sets:
-        sizes.setdefault(t[-1], set()).add(len(t))
+def _limb_bound(sizes: dict[int, Collection[int]]) -> int:
+    """The largest beta_(m, k)[j], a bound on |c_j| over the sets of the
+    class of maximum m and size k (the classes: sizes by maximum), with no
+    sign assumed.  g_k' bounds each set of size k' and maximum <= m - 2 at
+    centre m - 1, from g_0 = [1]; at each level it takes in beta_(m-2, k')
+    and moves a Pascal step, P(v)[j] = v[j] + v[j + 1].  By the step,
+    beta_(m, k)[j] = g_(k-1)[0] C(m, j + 1) + P(x)[j], x = 2 g_(k-1) +
+    beta_(m-1, k) (0 if not built) bounding _walk's x.  As P(v) >= v,
+    beta_(m, k) covers x and the stepped parents, and beta_(m+1, k) covers it."""
     read = {k - 1 for ks in sizes.values() for k in ks}  # g only for these
     g = {0: [1]}
     beta: dict[int, dict[int, list[int]]] = {}  # by maximum m - 2..m, then size
     row = [1]  # C(m, j + 1) for j = 0..m - 1
     largest = 0
-    for m in range(2, sets[-1][-1] + 1):
+    for m in range(2, max(sizes) + 1):
         row = [*map(add, row, [1] + row), 1]
         for k, b in beta.pop(m - 2, {}).items():
             if k in read:
@@ -211,51 +205,50 @@ def _limb_bound(sets: Sequence[PeakSet]) -> int:
     return largest
 
 
-def _packed(sets: Sequence[PeakSet], width: int) -> Iterator[tuple[PeakSet, int]]:
-    """(t, p_t packed into one int) for each t of sets, in order.
+def _walk(path: PeakSet, top: int, width: int,
+          visit: Callable[[PeakSet, int], object]) -> None:
+    """visit(t, p_t packed into one int) for each set t of the chain of
+    path (with a_0 = 0, each (a_1, ..., a_(i-1), j), a_(i-1) + 2 <= j <=
+    a_i), then each extending path with max <= top, depth first over the
+    prefix tree of admissible sets, children in increasing last element:
+    in lexicographic order.  A true visit prunes t's subtree and its later
+    siblings, the sets built from t.
 
-    Limb j, width bits wide, holds c_j at centre m = max(t); entries are
-    keyed by their sets.  The step is x = 2a + b, P = (a & MASK) ROW - x -
-    (x >> width): a is t1's entry at centre m - 1, b t2's (0 when
-    m - max(t1) <= 2), ROW is C(x, m - 1) at centre m (limb j C(m, j + 1)).
-    t2 is read once, one level up; a t1 of maximum k first by
-    t1 + (k + 2,), so an entry is dropped then unless read, and once read
-    is kept at the centre m - 1 of its last reader, each next reader moving
-    it a Pascal step on.  Sets of the top maximum are not stored.
+    Limb j, width bits wide, holds c_j at centre m = max(t).  t1 is t's
+    parent u and t2 its previous sibling, so u's frame holds what a step
+    reads: u's entry a, a Pascal step on per child (a + (a >> width)), at
+    centre m - 1; b, the previous sibling's (0 when t2 is inadmissible);
+    ROW, C(x, m - 1) at centre m (limb j C(m, j + 1)), one step on per
+    child.  The step is x = 2a + b, P = (a & MASK) ROW - x - (x >> width).
 
-    An entry that does not trip is exact.  If every entry read so far is
-    exact with limbs in [0, 2^(width-1)), the kept entries and x add
-    nonnegative limbs below _limb_bound < 2^(width-1), so nothing carries.
-    Packing is linear, so P = sum of c_j 2^(j width) over j < m exactly,
-    with |c_j| < 2^(width-1), and each integer has one expansion in digits
-    from [-2^(width-1), 2^(width-1)).  So if all c_j >= 0, they are P's
-    digits, with no top bit set; if some c_j < 0, P < 0 or a digit of P has
-    its top bit set.  The trip, P < 0 or a top bit set, is some c_j < 0.
+    No step carries: a and b did not trip (or t would be pruned), so are
+    exact with limbs in [0, 2^(width-1)), and the stepped a and x add
+    nonnegative limbs below _limb_bound < 2^(width-1).  Packing is linear,
+    so P = sum of c_j 2^(j width), j < m, exactly, |c_j| < 2^(width-1); and
+    an integer has one expansion in digits from [-2^(width-1), 2^(width-1)).
+    So if all c_j >= 0, they are P's digits, no top bit set; if some
+    c_j < 0, P < 0 or a digit has its top bit set: the trip, P < 0 or a top
+    bit set, is some c_j < 0, and an entry that does not trip is exact.
     """
-    top = sets[-1][-1]
     mask = (1 << width) - 1
-    row = 0  # C(x, m - 1) at centre m
-    kept = {(): 1}  # each t1's entry, at the centre m - 1 of its last reader
-    levels: dict[int, dict[PeakSet, int]] = {}  # by maximum, entries not yet read as t1
-    m = 0
-    for t in sets:
-        if t[-1] != m:
-            for m in range(m + 1, t[-1] + 1):
-                row = ((row << width) | 1) + row
-                levels.pop(m - 3, None)
-            previous = levels.get(m - 1, {})
-            stored = levels[m] = {}
-        u = t[:-1]  # t1
-        low = u[-1] if u else 0  # max(t1)
-        a = kept[u] if u in kept else levels[low].pop(u)
-        kept[u] = a = a + (a >> width)
-        x = 2 * a
-        if m - low > 2:  # else t2 has adjacent elements or 1
-            x += previous[u + (m - 1,)]
-        packed = (a & mask) * row - x - (x >> width)
-        if m < top:
-            stored[t] = packed
-        yield t, packed
+    # a frame: u, a, b, the next child's m and its ROW, the last child's m
+    frames = [((), 1, 0, 2, (1 << width) + 2, path[0] if path else top)]
+    while frames:
+        u, a, b, k, row, end = frames.pop()
+        for k in range(k, end + 1):
+            a += a >> width
+            x = 2 * a + b
+            b = (a & mask) * row - x - (x >> width)
+            t = u + (k,)
+            if visit(t, b):
+                break
+            row += (row << width) | 1
+            last = path[len(t)] if len(t) < len(path) else top  # of t's children
+            if k + 2 <= last and (len(t) > len(path) or t == path[:len(t)]):
+                # u resumes at its next child once t's subtree is walked
+                frames += [(u, a, b, k + 1, row, end),
+                           (t, b, 0, k + 2, row + ((row << width) | 1), last)]
+                break
 
 
 def _limbs(packed: int, width: int) -> tuple[int, ...]:

@@ -30,7 +30,6 @@ from peakpoly.perms import (
     _admissible,
     as_peak_set,
     enumerate_by_peak_set,
-    structurally_admissible_sets,
 )
 
 SWEEP_CHECKS = ("positivity", "logconcavity")
@@ -87,7 +86,8 @@ def _positivity_violation(coeffs: tuple[int, ...], m: int,
     (D^j p)(k) is coefficient j at centre k (0 past the given ones), and one
     Pascal step, c_j + c_(j+1), moves the centre on.  The scan stops at the
     first centre with no c_(>=1) < 0, witness or not: from there no c_j > 0
-    can fall to 0.  So a peak polynomial (degree m - 1) is decided at centre m.
+    can fall to 0.  So a peak polynomial (degree m - 1) is decided at centre
+    m.  It stops too at a witness with j = 1, as no smaller j is left.
     """
     coeffs = list(coeffs) + [0] * (m - len(coeffs))
     witness = None
@@ -98,7 +98,7 @@ def _positivity_violation(coeffs: tuple[int, ...], m: int,
             if coeffs[j] <= 0:
                 witness = (j, k)
                 break
-        if min(coeffs[1:], default=0) >= 0:
+        if witness and witness[0] == 1 or min(coeffs[1:], default=0) >= 0:
             break
     return witness
 
@@ -305,16 +305,18 @@ class SweepSummary(NamedTuple):
 def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
           workers: int = 1, k_extra: int = 5) -> SweepSummary:
     """Verify every structurally admissible nonempty peak set with
-    max(S) <= m_max, in the fixed (max, lexicographic) set order, in this
-    process (workers is deprecated: it is only checked to be >= 1).
+    max(S) <= m_max, reported in the fixed (max, lexicographic) set order,
+    in this process (workers is deprecated: it is only checked to be >= 1).
 
-    The sets are canonical and admissible by construction, so none is
-    validated; each is built from two earlier entries of one table just
-    before its checks (see engine._build).  A set whose coefficients are
-    c_0 = 0 and c_1..c_(m-1) > 0, and log-concave with logconcavity
-    selected, is cleared by two C-level passes (_cleared); any other gets
-    verify_set's full report, kept if a check fails.  A set built with a
-    negative coefficient is the last one checked.
+    One walk of the prefix tree builds each set from its parent and its
+    previous sibling just before its checks (see engine._walk), so the sets
+    are canonical and admissible by construction and none is validated.  A
+    set whose coefficients are c_0 = 0 and c_1..c_(m-1) > 0, and log-concave
+    with logconcavity selected, is cleared by two C-level passes (_cleared);
+    any other gets verify_set's full report, kept if a check fails.  A set
+    built with a negative coefficient trips: the walk prunes the sets built
+    from it, all of larger maximum, and the least such set in (max, lex)
+    order is the last one checked and reported, as in a build in that order.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -325,13 +327,18 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         raise ValueError(f"k_extra must be >= 0, got {k_extra}")
 
     logconcavity = "logconcavity" in names
-    sets = structurally_admissible_sets(m_max)
+    visited = [0] * (m_max + 1)  # by maximum
+    found = []  # (key, tripped, report): key, (max, lex rank + 1), exact up to the least trip
+
+    def check(s: PeakSet, raw: tuple[int, ...], tripped: bool) -> None:
+        m = s[-1]
+        visited[m] += 1
+        if tripped or not _cleared(raw, m, logconcavity):
+            found.append(((m, visited[m]), tripped, _verify(s, raw, names, m + k_extra)))
+
     start = time.perf_counter()
-    failures = []
-    for checked, (s, raw) in enumerate(_build(sets), 1):  # a trip ends it
-        if not _cleared(raw, s[-1], logconcavity):
-            report = _verify(s, raw, names, s[-1] + k_extra)
-            if not report.passed:
-                failures.append(report)
-    elapsed = time.perf_counter() - start
-    return SweepSummary(m_max, names, checked, tuple(failures), elapsed)
+    _build((), m_max, check)
+    last = min((key for key, tripped, _ in found if tripped), default=(m_max, visited[m_max]))
+    return SweepSummary(m_max, names, sum(visited[:last[0]]) + last[1],
+                        tuple(r for key, _, r in sorted(found) if key <= last and not r.passed),
+                        time.perf_counter() - start)

@@ -369,9 +369,9 @@ def test_exit_codes_via_subprocess():
     assert _run_module("nonsense").returncode == 1
     # 3: a child plants c_1 = -1 in p_{3,5}'s packed entry, and the sweep
     # fails positivity there
-    plant = ("import sys, peakpoly.engine as engine, peakpoly.cli as cli; packed = engine._packed; "
-             "engine._packed = lambda sets, w: ((t, p - ((p >> w) % (1 << w) + 1 << w) "
-             "if t == (3, 5) else p) for t, p in packed(sets, w)); "
+    plant = ("import sys, peakpoly.engine as engine, peakpoly.cli as cli; walk = engine._walk; "
+             "engine._walk = lambda path, top, w, visit: walk(path, top, w, lambda t, p: visit("
+             "t, p - ((p >> w) % (1 << w) + 1 << w) if t == (3, 5) else p)); "
              "sys.exit(cli.main(['sweep', '--max-m', '8']))")
     result = subprocess.run([sys.executable, "-c", plant], capture_output=True, text=True)
     assert result.returncode == 3, result.stderr

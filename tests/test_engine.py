@@ -257,14 +257,15 @@ def test_deep_set_builds_without_recursion():
 
 
 def test_a_chain_build_keeps_a_few_entries_not_all(monkeypatch):
-    # {k} is read by {k + 1} only, so the build of {600} drops each entry
-    # two levels on; keeping all 599, each of up to 600 limbs, takes ~19 MB.
-    # The limb bound is computed untraced: its many small lists make up
-    # most of the traced time, and none is alive once the build starts
+    # {k} is read by {k + 1} only, so the walk of {600}'s chain holds one
+    # frame, {k}'s entry and the row; keeping all 599 entries, each of up
+    # to 600 limbs, takes ~19 MB.  The limb bound of its classes (maximum
+    # k, size 1) is computed untraced: its many small lists make up most
+    # of the traced time, and none is alive once the build starts
     import tracemalloc
     import peakpoly.engine as engine
-    bound = engine._limb_bound(engine._chain((600,)))
-    monkeypatch.setattr(engine, "_limb_bound", lambda sets: bound)
+    bound = engine._limb_bound(dict.fromkeys(range(2, 601), (1,)))
+    monkeypatch.setattr(engine, "_limb_bound", lambda sizes: bound)
     tracemalloc.start()
     try:
         peak_polynomial((600,))
@@ -315,24 +316,44 @@ def _packed_singleton(k, width):
 
 
 def _record_packed_passes(monkeypatch):
-    # wrap engine._packed so each build's (width, entries) is recorded
+    # wrap engine._walk so each build's (width, entries) is recorded
     import peakpoly.engine as engine
-    packed, passes = engine._packed, []
+    walk, passes = engine._walk, []
 
-    def recording(sets, width):
+    def recording(path, top, width, visit):
         entries = []
         passes.append((width, entries))
-        for t, entry in packed(sets, width):
-            entries.append((t, entry))
-            yield t, entry
 
-    monkeypatch.setattr(engine, "_packed", recording)
+        def keep(t, entry):
+            entries.append((t, entry))
+            return visit(t, entry)
+
+        walk(path, top, width, keep)
+
+    monkeypatch.setattr(engine, "_walk", recording)
     return passes
+
+
+def _walked(path, top, width=64):
+    # (t, packed entry) for each set that the walk visits, in its order;
+    # nothing is pruned, so a narrow width still visits every set
+    import peakpoly.engine as engine
+    entries = []
+    engine._walk(path, top, width, lambda t, entry: entries.append((t, entry)))
+    return entries
+
+
+def _sizes(sets):
+    # the (maximum, size) classes of sets, as sizes by maximum
+    sizes = {}
+    for t in sets:
+        sizes.setdefault(t[-1], set()).add(len(t))
+    return sizes
 
 
 def test_a_build_packs_once_at_the_width_of_the_limb_bound(monkeypatch):
     # the width comes from a bound proved before the build, so each build
-    # is one pass of the packed table, at the least multiple of 64 bits
+    # is one walk of the packed entries, at the least multiple of 64 bits
     # above the bound
     passes = _record_packed_passes(monkeypatch)
     # p_{k}(n) = C(n - 1, k - 1) - 1, and the chain's bound has 201 bits
@@ -412,21 +433,30 @@ def test_the_limb_bound_covers_every_coefficient_with_no_sign_assumed():
     # above |c_j| of every set built: every set of a sweep, and every set
     # of a chain, where only its last is handed out
     import peakpoly.engine as engine
-    builds = [structurally_admissible_sets(m) for m in range(2, 17)]
+    builds = [((), m) for m in range(2, 17)]
     for s in ((40, 80), (3, 9, 30), (2, 5, 40), (120, 240), (5, 10, 20, 40, 80)):
-        builds.append(engine._chain(s))
-    for sets in builds:
-        bound = engine._limb_bound(sets)
+        builds.append((s, s[-1]))
+    for path, top in builds:
+        sets = [t for t, _ in _walked(path, top)]
+        bound = engine._limb_bound(_sizes(sets))
         assert bound >= max(max(b) for b in _reference_limb_bounds(sets).values()), sets[-1]
         width = (bound.bit_length() // 64 + 1) * 64
-        for t, packed in engine._packed(sets, width):
+        for t, packed in _walked(path, top, width):
             assert all(bound > c for c in engine._limbs(packed, width)), t
 
 
-def test_the_limb_bound_is_pinned_on_deep_chains_and_a_sweep():
+def test_the_limb_bound_is_pinned_on_deep_chains_and_a_sweep(monkeypatch):
     # values of the bound when every class, size 1 too, scaled the binomial
-    # row by g_(k-1)[0]: reading the row itself where that is 1 moves none
+    # row by g_(k-1)[0]: reading the row itself where that is 1 moves none.
+    # A build gives the bound the classes of the sets that it walks
     import peakpoly.engine as engine
+    bound_of, given = engine._limb_bound, []
+
+    def recording(sizes):
+        given.append((sizes, bound_of(sizes)))
+        return given[-1][1]
+
+    monkeypatch.setattr(engine, "_limb_bound", recording)
     pinned = {
         (1200,): int(
             "17218479456385750618067377696052635483579924745448689921733236816400"
@@ -443,8 +473,16 @@ def test_the_limb_bound_is_pinned_on_deep_chains_and_a_sweep():
         (5, 10, 20, 40, 80): 122841689806616064552398630633976846789674370735825566011511563728,
     }
     for s, bound in pinned.items():
-        assert engine._limb_bound(engine._chain(s)) == bound, s
-    assert engine._limb_bound(structurally_admissible_sets(20)) == 3347903864779873798912
+        given.clear()
+        peak_polynomial(s)
+        ((sizes, given_bound),) = given
+        assert {m: set(ks) for m, ks in sizes.items()} == _sizes(t for t, _ in _walked(s, s[-1]))
+        assert given_bound == bound, s
+    given.clear()
+    verify.sweep(20)
+    ((sizes, given_bound),) = given
+    assert {m: set(ks) for m, ks in sizes.items()} == _sizes(structurally_admissible_sets(20))
+    assert given_bound == 3347903864779873798912
 
 
 def _pivot_packed(sets, width):
@@ -465,22 +503,24 @@ def _pivot_packed(sets, width):
 
 
 def test_the_three_term_step_packs_what_the_paper_recursion_packs():
-    # every packed int of the sweep to 22, at its own width, equals the one
-    # that the derived-set recursion makes; none trips
+    # every packed int of the walk to 22, at its own width, equals the one
+    # that the derived-set recursion makes; none trips.  The walk visits
+    # the sets in lexicographic order, the recursion in (max, lex) order
     import peakpoly.engine as engine
     sets = structurally_admissible_sets(22)
-    width = (engine._limb_bound(sets).bit_length() // 64 + 1) * 64
+    width = (engine._limb_bound(_sizes(sets)).bit_length() // 64 + 1) * 64
     assert width == 128
-    assert list(engine._packed(sets, width)) == list(_pivot_packed(sets, width))
+    walked = _walked((), 22, width)
+    assert walked == sorted(_pivot_packed(sets, width))
     high = sum(1 << width - 1 << j * width for j in range(22))
-    assert not any(packed < 0 or packed & high for _, packed in engine._packed(sets, width))
+    assert not any(packed < 0 or packed & high for _, packed in walked)
 
 
 def test_the_chain_is_the_closure_under_the_three_term_step():
-    # S closed under t -> (t minus max t, that set plus max t - 1), with ()
-    # and the inadmissible sets left out: at most max(S) - 1 sets, in
-    # increasing maximum, S last
-    import peakpoly.engine as engine
+    # the sets that the walk of S's path visits are S closed under
+    # t -> (t minus max t, that set plus max t - 1), with () and the
+    # inadmissible sets left out: at most max(S) - 1 sets, in increasing
+    # maximum, S last
     for s in structurally_admissible_sets(14) + [(5, 10, 20, 40, 80), (2, 4, 6, 30)]:
         closure, pending = set(), [s]
         while pending:
@@ -488,7 +528,7 @@ def test_the_chain_is_the_closure_under_the_three_term_step():
             if t and is_structurally_admissible(t) and t not in closure:
                 closure.add(t)
                 pending += [t[:-1], t[:-1] + (t[-1] - 1,)]
-        chain = engine._chain(s)
+        chain = [t for t, _ in _walked(s, s[-1])]
         assert sorted(chain) == sorted(closure) and len(chain) <= s[-1] - 1, s
         assert chain[-1] == s
         assert all(a[-1] < b[-1] for a, b in zip(chain, chain[1:])), s

@@ -60,7 +60,7 @@ def test_a_bad_k_max_is_refused_before_any_walk_or_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("built the chain or walked the down-closure before refusing k_max")
 
-    for name in ("_closure", "_chain"):
+    for name in ("_closure", "_walk"):
         monkeypatch.setattr(engine, name, refuse)
     monkeypatch.setattr(verify, "_peak_coefficients", refuse)
     k_max_error = r"^k_max must be >= max\(S\) = 6, got 5$"
@@ -92,6 +92,9 @@ def test_positivity_witness_is_sound():
     assert _positivity_violation(late.coeffs, 3, 8) == (1, 7)
     assert late.forward_difference(1).evaluate(7) == -1
     assert _positivity_violation(late.coeffs, 3, 6) == (2, 4)
+    # a witness at j = 1 is final, though c_1 stays negative at every later
+    # centre: the scan stops there, not at k_max
+    assert _positivity_violation((0, 1, 2, -1), 3, 10 ** 9) == (1, 9)
 
     # degree 2 at m = 4: the third difference is identically zero, so the
     # missing coefficient j = 3 is the witness
@@ -435,35 +438,38 @@ def test_sweep_validates_no_set(monkeypatch):
 
 
 def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
-    # every derived set has a smaller maximum, so the sweep's own (max, lex)
-    # order builds each set from entries already made: one pass of the
-    # packed table, one step per set
+    # a set's parent and previous sibling come before it in lexicographic
+    # order, so a depth-first walk of the prefix tree builds each set from
+    # entries already made: one walk, one step per set
     import peakpoly.engine as engine
     unpatched = sweep(12)
 
     def refuse(*args):
         raise AssertionError("the sweep walked a down-closure")
 
-    packed = engine._packed
+    walk = engine._walk
     passes, steps = [], []
 
-    def counting(sets, width):
+    def counting(path, top, width, visit):
         passes.append(width)
-        for t, entry in packed(sets, width):
+
+        def step(t, entry):
             steps.append(t)
-            yield t, entry
+            return visit(t, entry)
+
+        walk(path, top, width, step)
 
     monkeypatch.setattr(engine, "_closure", refuse)
-    monkeypatch.setattr(engine, "_packed", counting)
+    monkeypatch.setattr(engine, "_walk", counting)
     patched = sweep(12)
     for field in ("m_max", "checks", "sets_checked", "failures"):
         assert getattr(patched, field) == getattr(unpatched, field)
     assert len(passes) == 1
-    assert steps == structurally_admissible_sets(12)
+    assert steps == sorted(structurally_admissible_sets(12))
 
 
 def test_sweep_coefficients_satisfy_the_first_difference_identity(monkeypatch):
-    # an independent reference for what the packed table hands the checks:
+    # an independent reference for what the packed walk hands the checks:
     # each set's first difference is the sum of its derived sets'
     # polynomials, in the public basis arithmetic (criterion 7, to m = 16),
     # and p_S(max S) = 0; by induction from p_() = 1 that pins every entry
@@ -471,10 +477,12 @@ def test_sweep_coefficients_satisfy_the_first_difference_identity(monkeypatch):
     built = {(): BinomialPolynomial(0, (1,))}
     build = verify._build
 
-    def keeping(sets, *start):
-        for t, raw in build(sets, *start):
+    def keeping(path, top, visit):
+        def keep(t, raw, tripped):
             built[t] = BinomialPolynomial(t[-1], raw)
-            yield t, raw
+            visit(t, raw, tripped)
+
+        build(path, top, keep)
 
     monkeypatch.setattr(verify, "_build", keeping)
     summary = sweep(16)
@@ -493,21 +501,24 @@ def test_sweep_coefficients_satisfy_the_first_difference_identity(monkeypatch):
 
 
 def test_sweep_table_equals_the_chain_build(monkeypatch):
-    # what the sweep's one table hands the checks, set by set, is what a
-    # cold build of that set's chain gives for that set alone
+    # what the sweep's one walk hands the checks, set by set in
+    # lexicographic order, is what a cold build of that set's chain gives
+    # for that set alone
     import peakpoly.verify as verify
     sets = structurally_admissible_sets(16)
     assert len(sets) == 1596
     build, handed = verify._build, []
 
-    def recording(sets, *start):
-        for t, raw in build(sets, *start):
+    def recording(path, top, visit):
+        def record(t, raw, tripped):
             handed.append((t, raw))
-            yield t, raw
+            visit(t, raw, tripped)
+
+        build(path, top, record)
 
     monkeypatch.setattr(verify, "_build", recording)
     sweep(16)
-    assert handed == [(s, peak_polynomial(s).coeffs) for s in sets]
+    assert handed == [(s, peak_polynomial(s).coeffs) for s in sorted(sets)]
 
 
 def test_a_negative_limb_trips_and_ends_the_build(plant_negative_limb):
@@ -538,6 +549,61 @@ def test_a_negative_limb_trips_and_ends_the_build(plant_negative_limb):
             peak_polynomial(above)
         with pytest.raises(NegativeCoefficientError):
             verify_set(above, ALL_CHECKS, n_max=above[-1] + 1)
+
+
+def test_a_trip_ends_the_sweep_in_max_lex_order_not_in_walk_order(monkeypatch,
+                                                                   plant_negative_limb):
+    # (2, 8) trips first in the walk's lexicographic order and (5, 7) first
+    # in the sweep's (max, lex) order: a trip prunes only the sets built
+    # from it, here (5, 7)'s later sibling (5, 8), so the walk goes on past
+    # (2, 8) to (5, 7), and the sweep reports what a build in (max, lex)
+    # order would, ending at (5, 7)
+    import peakpoly.verify as verify
+    sets = structurally_admissible_sets(8)
+    assert sorted([(2, 8), (5, 7)]) == [(2, 8), (5, 7)]
+    assert sets.index((5, 7)) < sets.index((2, 8))
+    plant_negative_limb((2, 8), 1, ((5, 7), 1))
+    build, handed = verify._build, []
+
+    def recording(path, top, visit):
+        def record(t, raw, tripped):
+            handed.append(t)
+            visit(t, raw, tripped)
+
+        build(path, top, record)
+
+    monkeypatch.setattr(verify, "_build", recording)
+    summary = sweep(8)
+    assert [report.positions for report in summary.failures] == [(5, 7)]
+    assert summary.sets_checked == sets.index((5, 7)) + 1
+    assert handed == [s for s in sorted(sets) if s != (5, 8)]
+    assert sweep(8, ("logconcavity",)).sets_checked == summary.sets_checked
+
+
+def test_sweep_lists_no_sets(monkeypatch):
+    # the walk makes each set as it reaches it, so no list of every set
+    # to max m_max is ever built
+    def refuse(*args):
+        raise AssertionError("the sweep listed every set")
+
+    for module in ("peakpoly", "peakpoly.perms", "peakpoly.verify"):
+        monkeypatch.setattr(f"{module}.structurally_admissible_sets", refuse, raising=False)
+    summary = sweep(16)
+    assert summary.sets_checked == 1596 and summary.failures == ()
+
+
+def test_sweep_memory_is_one_frame_per_depth():
+    # the walk keeps a parent entry, a sibling entry and a row per depth,
+    # not a table of sets: a level-order table to 22 peaked at 10 MB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        summary = sweep(22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.sets_checked == 28656 and summary.failures == ()
+    assert peak < 1_000_000
 
 
 def test_sweep_and_build_keep_no_table():
