@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default=",".join(SWEEP_CHECKS),
                    help=f"comma-separated subset of {','.join(SWEEP_CHECKS)}")
     p.add_argument("--jobs", type=int, default=1,
-                   help="deprecated, kept for compatibility (one process)")
+                   help="processes to walk the sweep in (at most max-m - 3); "
+                        "the output is the same for every value")
     p.add_argument("--report", default=None, metavar="PATH",
                    help="also write the JSON summary to this file (atomically)")
     add_format(p)

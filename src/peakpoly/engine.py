@@ -149,7 +149,9 @@ def _build(path: PeakSet, top: int,
     p_() = 1 and p of an inadmissible set 0, in W-bit limbs, W the least
     multiple of 64 with _limb_bound < 2^(W-1) over the walk's (maximum,
     size) classes.  A set that trips is handed out, exactly, with tripped
-    true, and no set built from it is built.
+    true, and no set built from it is built.  For any other set, visit's
+    return goes on to _walk: _SKIP passes over the set's subtree, and any
+    other true value prunes.
     """
     sizes = {} if path else {m: range(1, m // 2 + 1) for m in range(2, top + 1)}
     for i, (a, b) in enumerate(zip((0,) + path, path), 1):  # the chain's classes
@@ -166,7 +168,7 @@ def _build(path: PeakSet, top: int,
             visit(t, tuple(coeffs), True)
             return True
         if not path or t[-1] == top:
-            visit(t, _limbs(packed, width), False)
+            return visit(t, _limbs(packed, width), False)
         return False
 
     _walk(path, top, width, unpack)
@@ -205,14 +207,20 @@ def _limb_bound(sizes: dict[int, Collection[int]]) -> int:
     return largest
 
 
+# what a visit returns to have _walk pass over the subtree of the set it
+# was handed and go on to that set's next sibling
+_SKIP = "skip"
+
+
 def _walk(path: PeakSet, top: int, width: int,
           visit: Callable[[PeakSet, int], object]) -> None:
     """visit(t, p_t packed into one int) for each set t of the chain of
     path (with a_0 = 0, each (a_1, ..., a_(i-1), j), a_(i-1) + 2 <= j <=
     a_i), then each extending path with max <= top, depth first over the
     prefix tree of admissible sets, children in increasing last element:
-    in lexicographic order.  A true visit prunes t's subtree and its later
-    siblings, the sets built from t.
+    in lexicographic order.  A visit that returns _SKIP passes over t's
+    subtree; any other true one prunes t's subtree and its later siblings,
+    the sets built from t.
 
     Limb j, width bits wide, holds c_j at centre m = max(t).  t1 is t's
     parent u and t2 its previous sibling, so u's frame holds what a step
@@ -240,11 +248,12 @@ def _walk(path: PeakSet, top: int, width: int,
             x = 2 * a + b
             b = (a & mask) * row - x - (x >> width)
             t = u + (k,)
-            if visit(t, b):
+            skip = visit(t, b)
+            if skip and skip is not _SKIP:
                 break
             row += (row << width) | 1
             last = path[len(t)] if len(t) < len(path) else top  # of t's children
-            if k + 2 <= last and (len(t) > len(path) or t == path[:len(t)]):
+            if k + 2 <= last and not skip and (len(t) > len(path) or t == path[:len(t)]):
                 # u resumes at its next child once t's subtree is walked
                 frames += [(u, a, b, k + 1, row, end),
                            (t, b, 0, k + 2, row + ((row << width) | 1), last)]

@@ -12,16 +12,20 @@ and reads the coefficients once.  _verify decides each selected check's
 witness, None when it holds, in the branch that reports it, and reads
 its verdict off that witness.  The sweep first puts each set's
 coefficients through a quick test (_cleared) that only a set with no
-witness can pass, so a sweep that finds nothing builds no report.
+witness can pass, so a sweep that finds nothing builds no report; with
+workers, it walks the sets in forked processes, a group of subtrees each.
 """
 
 import itertools
+import marshal
+import os
+import sys
 import time
 from operator import add, ge, mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from peakpoly.engine import _build, _peak_coefficients, _recursion_counts
+from peakpoly.engine import _SKIP, _build, _peak_coefficients, _recursion_counts
 from peakpoly.intpoly import _shift_center
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
@@ -283,7 +287,7 @@ class SweepSummary(NamedTuple):
     """Aggregate of one verification sweep.
 
     elapsed_seconds is informational; everything else is deterministic for
-    a given (m_max, checks), independent of the worker count.
+    a given (m_max, checks), the same for every worker count.
     """
 
     m_max: int
@@ -302,21 +306,102 @@ class SweepSummary(NamedTuple):
         }
 
 
+def _deal(m_max: int, workers: int) -> list[list[int]]:
+    """The roots 2..m_max, the depth-1 sets {k}, dealt into one group per
+    process, at most workers and at most m_max - 3 groups (the roots with
+    children): largest subtree first, each to the group with the fewest
+    sets so far.  {k}'s subtree holds the sets of {k + 2..m_max} with no
+    two adjacent, each with k added: F(m_max - k + 1) sets (Fibonacci,
+    F(1) = F(2) = 1), fewer as k grows."""
+    groups: list[list[int]] = [[] for _ in range(max(1, min(workers, m_max - 3)))]
+    loads = [0] * len(groups)
+    fib = [1, 1]  # F(i + 1)
+    while len(fib) < m_max:
+        fib.append(fib[-1] + fib[-2])
+    for k in range(2, m_max + 1):
+        i = loads.index(min(loads))
+        groups[i].append(k)
+        loads[i] += fib[m_max - k]
+    return groups
+
+
+def _walk_groups(groups: list[list[int]], walk: Callable[[list[int]], object]) -> list:
+    """walk(group) for each group, each but the first in a child process
+    forked for it, which sends its result back marshalled through a pipe
+    and always ends in os._exit.  This process walks the first group
+    together with every group it could not fork for (no os.fork, or it
+    raised), reads every pipe to its end, then reaps, and walks again any
+    group whose child exits nonzero or sends a truncated result.  No child
+    outlives the call: on an exception each is killed, then reaped.  A
+    process with other threads forks no child, which could deadlock on a
+    lock one of them held, and walks every group itself."""
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        groups = [[k for group in groups for k in group]]
+    children = []  # (pid, read end of its pipe, group)
+    own, statuses = list(groups[0]), []
+    try:
+        for group in groups[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()  # AttributeError where there is no fork
+            except (AttributeError, OSError):
+                os.close(read)
+                os.close(write)
+                own += group
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(marshal.dumps(walk(group)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, open(read, "rb"), group))
+        results = [walk(own)]
+        payloads = [pipe.read() for _, pipe, _ in children]
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (_, _, group), payload, status in zip(children, payloads, statuses):
+        try:
+            results.append(marshal.loads(payload) if status == 0 else walk(group))
+        except (EOFError, ValueError, TypeError):  # truncated
+            results.append(walk(group))
+    return results
+
+
 def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
           workers: int = 1, k_extra: int = 5) -> SweepSummary:
     """Verify every structurally admissible nonempty peak set with
     max(S) <= m_max, reported in the fixed (max, lexicographic) set order,
-    in this process (workers is deprecated: it is only checked to be >= 1).
+    in up to workers processes.
 
     One walk of the prefix tree builds each set from its parent and its
     previous sibling just before its checks (see engine._walk), so the sets
     are canonical and admissible by construction and none is validated.  A
     set whose coefficients are c_0 = 0 and c_1..c_(m-1) > 0, and log-concave
     with logconcavity selected, is cleared by two C-level passes (_cleared);
-    any other gets verify_set's full report, kept if a check fails.  A set
-    built with a negative coefficient trips: the walk prunes the sets built
-    from it, all of larger maximum, and the least such set in (max, lex)
-    order is the last one checked and reported, as in a build in that order.
+    any other is kept, and at the end gets verify_set's full report, kept
+    if a check fails.  A set built with a negative coefficient trips: the
+    walk prunes the sets built from it, all of larger maximum, and the
+    least such set in (max, lex) order is the last one checked and
+    reported, as in a build in that order.  No set above a trip's maximum
+    can be reported, so from a trip on the walk prunes those too.
+
+    The subtrees below the singletons {k} are independent once {k} is
+    built: each process walks one group of them (_deal, _walk_groups) and
+    counts its sets by (singleton, maximum), and the counts under the
+    singletons before turn each kept set's rank into its (max, lex) key.
+    So the summary does not depend on the worker count.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -327,18 +412,51 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         raise ValueError(f"k_extra must be >= 0, got {k_extra}")
 
     logconcavity = "logconcavity" in names
-    visited = [0] * (m_max + 1)  # by maximum
-    found = []  # (key, tripped, report): key, (max, lex rank + 1), exact up to the least trip
 
-    def check(s: PeakSet, raw: tuple[int, ...], tripped: bool) -> None:
-        m = s[-1]
-        visited[m] += 1
-        if tripped or not _cleared(raw, m, logconcavity):
-            found.append(((m, visited[m]), tripped, _verify(s, raw, names, m + k_extra)))
+    def walk(group: list[int]) -> tuple[dict, list]:
+        # visited sets by root, then maximum; kept sets (max, rank within
+        # root and max, tripped, set, coefficients)
+        counts: dict[int, list[int]] = {}
+        kept = []
+        roots, visited, bound = set(group), [], m_max
+
+        def check(s: PeakSet, raw: tuple[int, ...], tripped: bool) -> object:
+            nonlocal visited, bound
+            m = s[-1]
+            if m > bound:
+                return True
+            if s[0] == m:  # a singleton, a root
+                if m not in roots:
+                    return _SKIP
+                visited = counts[m] = [0] * (m_max + 1)
+            visited[m] += 1
+            if tripped or not _cleared(raw, m, logconcavity):
+                kept.append((m, visited[m], tripped, s, raw))
+                if tripped:
+                    bound = m
+
+        _build((), m_max, check)
+        return counts, kept
 
     start = time.perf_counter()
-    _build((), m_max, check)
-    last = min((key for key, tripped, _ in found if tripped), default=(m_max, visited[m_max]))
-    return SweepSummary(m_max, names, sum(visited[:last[0]]) + last[1],
-                        tuple(r for key, _, r in sorted(found) if key <= last and not r.passed),
+    counts: dict[int, list[int]] = {}
+    kept = []
+    for group_counts, group_kept in _walk_groups(_deal(m_max, workers), walk):
+        counts.update(group_counts)
+        kept += group_kept
+    before = {}  # by root: the sets of each maximum under the roots before it
+    total = [0] * (m_max + 1)
+    for k, visited in sorted(counts.items()):
+        before[k], total = total, list(map(add, total, visited))
+    keyed = sorted(((m, before[s[0]][m] + rank), tripped, s, raw)
+                   for m, rank, tripped, s, raw in kept)
+    last = min((key for key, tripped, _, _ in keyed if tripped), default=(m_max, total[m_max]))
+    failures = []
+    for key, _, s, raw in keyed:
+        if key > last:
+            break
+        report = _verify(s, raw, names, s[-1] + k_extra)
+        if not report.passed:
+            failures.append(report)
+    return SweepSummary(m_max, names, sum(total[:last[0]]) + last[1], tuple(failures),
                         time.perf_counter() - start)

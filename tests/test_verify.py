@@ -1,6 +1,10 @@
 import json
+import marshal
 import multiprocessing.process
+import os
 import re
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -15,6 +19,7 @@ from peakpoly.verify import (
     CheckResult,
     SweepSummary,
     _cleared,
+    _deal,
     _positivity_violation,
     _verify,
     sweep,
@@ -416,6 +421,221 @@ def test_sweep_is_deterministic_across_worker_counts(monkeypatch):
     parallel = sweep(8, workers=4)
     for field in ("m_max", "checks", "sets_checked", "failures"):
         assert getattr(sequential, field) == getattr(parallel, field)
+
+
+def _fields(summary):
+    # everything the determinism contract covers: all but elapsed_seconds
+    return summary._replace(elapsed_seconds=None)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_deal_gives_each_root_to_one_group_largest_subtree_first():
+    # {k}'s subtree to 20 holds F(21 - k) sets; two groups get 5473 and 5472
+    assert _deal(20, 1) == [list(range(2, 21))]
+    groups = _deal(20, 2)
+    assert sorted(sum(groups, [])) == list(range(2, 21))
+    assert groups[0][:2] == [2, 5] and groups[1][:2] == [3, 4]
+    sizes = {k: sum(1 for s in structurally_admissible_sets(20) if s[0] == k)
+             for k in range(2, 21)}
+    assert sorted(sum(sizes[k] for k in group) for group in groups) == [5472, 5473]
+    # no more groups than roots with children, m_max - 3
+    assert len(_deal(5, 64)) == 2 and len(_deal(3, 4)) == len(_deal(2, 4)) == 1
+
+
+@pytest.mark.parametrize("names", [("positivity",), ("logconcavity",), SWEEP_CHECKS])
+def test_sweep_is_the_same_for_every_worker_count(names):
+    for m_max in range(5, 17):
+        one = _fields(sweep(m_max, names))
+        for workers in (2, 3, 4):
+            assert _fields(sweep(m_max, names, workers=workers)) == one, (m_max, workers)
+    _assert_no_child_left()
+
+
+def test_planted_failures_are_found_in_every_worker(plant_coefficients):
+    # failures in every group's subtrees come back keyed in (max, lex) order
+    plant_coefficients(_spoil)
+    one = sweep(12)
+    assert {report.positions[0] for report in one.failures} >= {2, 3, 4, 5}
+    for workers in (2, 3, 4):
+        assert _fields(sweep(12, workers=workers)) == _fields(one)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("plants", [
+    (((2, 8), 1), ((3, 7), 1)),  # in the subtrees of {2} and {3}, two groups
+    (((6,), 2),),  # a singleton: prunes every later singleton
+    (((3, 6), 1), ((6,), 2), ((2, 9, 11), 3)),
+])
+def test_trips_across_processes_give_the_one_process_summary(plant_negative_limb, plants):
+    assert {2, 3} - set(_deal(12, 2)[0]) == {3}
+    plant_negative_limb(*plants[0], *plants[1:])
+    sets = structurally_admissible_sets(12)
+    first = min(plants, key=lambda plant: sets.index(plant[0]))[0]
+    one = sweep(12)
+    assert one.sets_checked == sets.index(first) + 1
+    assert [report.positions for report in one.failures] == [first]
+    for workers in (2, 3, 4):
+        assert _fields(sweep(12, workers=workers)) == _fields(one), workers
+    _assert_no_child_left()
+
+
+def test_after_a_trip_no_set_above_it_is_checked(monkeypatch, plant_negative_limb):
+    # a set of larger maximum than a trip can never be reported, so after
+    # (3, 6) trips the visit prunes the first set above 6 among each set's
+    # children, with its later siblings and its subtree, and checks none
+    import peakpoly.verify as verify
+    sets = structurally_admissible_sets(12)
+    plant_negative_limb((3, 6), 1)
+    build, cleared, log = verify._build, verify._cleared, []
+
+    def recording(path, top, visit):
+        def record(t, raw, tripped):
+            log.append(("handed", t))
+            return visit(t, raw, tripped)
+
+        build(path, top, record)
+
+    def checking(raw, m, logconcavity):
+        log.append(("checked", m))
+        return cleared(raw, m, logconcavity)
+
+    monkeypatch.setattr(verify, "_build", recording)
+    monkeypatch.setattr(verify, "_cleared", checking)
+    summary = sweep(12)
+    (report,) = summary.failures
+    assert report.positions == (3, 6)
+    assert summary.sets_checked == sets.index((3, 6)) + 1
+    after = log[log.index(("handed", (3, 6))) + 1:]
+    assert not [m for kind, m in after if kind == "checked" and m > 6]
+    # past (3, 6) and its later siblings: the sets whose elements but the
+    # last stay within 6, ending at most at the first child above 6
+    assert [t for kind, t in after if kind == "handed"] == [
+        t for t in sorted(sets) if t[0] > 3 and max(t[:-1], default=0) <= 6
+        and t[-1] <= max(7, t[-2] + 2 if len(t) > 1 else 2)]
+
+
+def _forks(monkeypatch):
+    # count the processes forked by this one
+    fork, pids = os.fork, []
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_workers_fork_one_process_per_other_group(monkeypatch):
+    pids = _forks(monkeypatch)
+    one = sweep(12)
+    assert not pids
+    assert _fields(sweep(12, workers=2)) == _fields(one) and len(pids) == 1
+    pids.clear()
+    # at most m_max - 3 = 2 processes, whatever the worker count
+    assert _fields(sweep(5, workers=64)) == _fields(sweep(5)) and len(pids) <= 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", ["missing", "raising"])
+def test_without_fork_the_workers_run_in_this_process(monkeypatch, fork):
+    import peakpoly.verify as verify
+    one = sweep(12)
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        def refuse():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", refuse)
+    build, pids = verify._build, []
+
+    def recording(path, top, visit):
+        pids.append(os.getpid())
+        build(path, top, visit)
+
+    monkeypatch.setattr(verify, "_build", recording)
+    assert _fields(sweep(12, workers=2)) == _fields(one)
+    assert pids == [os.getpid()]  # one walk, of both groups
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_process_with_other_threads_forks_no_worker(monkeypatch):
+    import threading
+    pids = _forks(monkeypatch)
+    one = sweep(12)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        assert _fields(sweep(12, workers=2)) == _fields(one)
+    finally:
+        release.set()
+        thread.join(30)
+    assert not pids and not thread.is_alive()
+    assert _fields(sweep(12, workers=2)) == _fields(one) and len(pids) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("failure", ["exit", "status", "truncated"])
+def test_a_failed_worker_s_group_is_walked_here(monkeypatch, plant_coefficients, failure):
+    # each worker exits 1 before it writes, or exits 1 after its whole
+    # result, or sends a result cut short: this process walks its own group
+    # and then each worker's again, with the same summary
+    import peakpoly.verify as verify
+    plant_coefficients(_spoil)
+    one = sweep(12)
+    parent, build, walks = os.getpid(), verify._build, []
+
+    def walking(path, top, visit):
+        if os.getpid() == parent:
+            walks.append(top)
+        elif failure == "exit":
+            os._exit(1)
+        build(path, top, visit)
+
+    monkeypatch.setattr(verify, "_build", walking)
+    if failure == "status":
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(1))
+    elif failure == "truncated":
+        monkeypatch.setattr(verify, "marshal", SimpleNamespace(
+            dumps=lambda result: marshal.dumps(result)[:-7], loads=marshal.loads))
+    pids = _forks(monkeypatch)
+    assert _fields(sweep(12, workers=3)) == _fields(one)
+    assert len(pids) == 2 and len(walks) == 3
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_no_worker_outlives_a_sweep_that_raises(monkeypatch):
+    # the workers are still walking when the parent's own walk fails: each
+    # is killed and reaped before the exception leaves sweep
+    import peakpoly.verify as verify
+    build, parent = verify._build, os.getpid()
+
+    def failing(path, top, visit):
+        if os.getpid() == parent:
+            raise RuntimeError("planted")
+        time.sleep(60)
+        build(path, top, visit)
+
+    monkeypatch.setattr(verify, "_build", failing)
+    pids = _forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="^planted$"):
+        sweep(12, workers=3)
+    assert len(pids) == 2 and time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 def test_sweep_validates_no_set(monkeypatch):
