@@ -8,7 +8,7 @@ peak set is exactly S factors as
 where p_S is an integer-valued polynomial of degree max(S) - 1, the peak
 polynomial of S.  This module builds p_S exactly, in the binomial basis
 centred at m = max(S), by the alternating-sum recursion of Billey, Burdzy
-and Sagan, from at most m - 1 smaller sets (see _build).  The recursion on
+and Sagan, from at most m - 1 smaller sets (see _walk).  The recursion on
 derived sets (lowering or omitting one element of S yields 2|S| smaller
 sets) drives the count recursion on n and the insertion cases.  So counts
 come three independent ways, the closed formula above, that recursion and
@@ -17,10 +17,11 @@ the exhaustive oracle, and each route can cross-check the others.
 
 import itertools
 import struct
+from collections import namedtuple
+from collections.abc import Callable, Collection, Iterable, Iterator
 from operator import add, itemgetter, lshift, mul, or_
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
-from peakpoly.intpoly import BinomialPolynomial
+from peakpoly.intpoly import BinomialPolynomial, _trimmed
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     PeakSet,
@@ -31,19 +32,17 @@ from peakpoly.perms import (
     group_permutations_by_peak_set,
 )
 
-class DerivedPair(NamedTuple):
-    """The two sets obtained from a peak set at one chosen element.
+class DerivedPair(namedtuple("DerivedPair", "pivot lowered lowered_admissible omitted")):
+    """The two sets obtained from a peak set at one chosen element, pivot.
 
     lowered: the chosen element and everything above it slide down by one.
     omitted: the chosen element is dropped and everything above it slides
     down by one.  `lowered` may fail structural admissibility (the slide
-    can create an adjacent pair); `omitted` never does.
+    can create an adjacent pair), as lowered_admissible says; `omitted`
+    never does.
     """
 
-    pivot: int
-    lowered: PeakSet
-    lowered_admissible: bool
-    omitted: PeakSet
+    __slots__ = ()
 
 
 def _slides(s: PeakSet) -> list[tuple[int, PeakSet, bool, PeakSet]]:
@@ -121,14 +120,22 @@ class NegativeCoefficientError(ArithmeticError):
 def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
     """Coefficients of p_s at centre max(s), trimmed of trailing zeros (so
     the degree check can see a short result), for a canonical s; (1,) for
-    () and () for an inadmissible s, whose p is 0 (see _build).  Built
+    () and () for an inadmissible s, whose p is 0 (see _walk).  Built
     along the path to s, its chain, unless a set on it trips."""
     if not s:
         return (1,)
     if _violation(s) is not None:
         return ()
+    width, high = _packing(s, s[-1])
     handed = []  # s, or the set that tripped below it
-    _build(s, s[-1], lambda t, coeffs, tripped: handed.append((t, coeffs)))
+
+    def visit(t: PeakSet, entry: int) -> bool:
+        tripped = entry < 0 or entry & high != 0
+        if tripped or t == s:
+            handed.append((t, _signed(entry, width, high) if tripped else _limbs(entry, width)))
+        return tripped
+
+    _walk(s, s[-1], width, visit)
     ((t, coeffs),) = handed
     if t != s:
         j = next(j for j, c in enumerate(coeffs) if c < 0)
@@ -137,41 +144,26 @@ def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
     return coeffs
 
 
-def _build(path: PeakSet, top: int,
-           visit: Callable[[PeakSet, tuple[int, ...], bool], object]) -> None:
-    """visit(t, coefficients of p_t at centre max(t), trimmed, tripped)
-    for each set t that _walk(path, top) reaches, if path is () (a sweep
-    to top), else for path alone (of its chain, top = max(path)).  With
-    m = max(t), t1 = t minus m, t2 = t1 + (m - 1),
-
-        p_t(x) = p_t1(m - 1) C(x, m - 1) - 2 p_t1(x) - p_t2(x),
-
-    p_() = 1 and p of an inadmissible set 0, in W-bit limbs, W the least
-    multiple of 64 with _limb_bound < 2^(W-1) over the walk's (maximum,
-    size) classes.  A set that trips is handed out, exactly, with tripped
-    true, and no set built from it is built.  For any other set, visit's
-    return goes on to _walk: _SKIP passes over the set's subtree, and any
-    other true value prunes.
-    """
+def _packing(path: PeakSet, top: int) -> tuple[int, int]:
+    """(W, high) for _walk(path, top, W, visit), a sweep to top if path is
+    (), else the chain of path (top = max(path)): W the least multiple of
+    64 with _limb_bound < 2^(W-1) over the walk's (maximum, size) classes,
+    high 2^(W-1) in each of top limbs, as many as any entry has.  An entry
+    trips, some c_j < 0, exactly when it is < 0 or has a bit of high set
+    (see _walk); _signed reads its coefficients."""
     sizes = {} if path else {m: range(1, m // 2 + 1) for m in range(2, top + 1)}
     for i, (a, b) in enumerate(zip((0,) + path, path), 1):  # the chain's classes
         sizes.update(dict.fromkeys(range(a + 2, b + 1), (i,)))
     width = (_limb_bound(sizes).bit_length() // 64 + 1) * 64
-    # 2^(W-1) in each limb of the top maximum, as many as any entry has
-    high = ((1 << top * width) - 1) // ((1 << width) - 1) << (width - 1)
+    return width, ((1 << top * width) - 1) // ((1 << width) - 1) << (width - 1)
 
-    def unpack(t: PeakSet, packed: int) -> bool:
-        if packed < 0 or packed & high:
-            coeffs = [c - (1 << width - 1) for c in _limbs(packed + high, width)]
-            while coeffs[-1] == 0:
-                coeffs.pop()
-            visit(t, tuple(coeffs), True)
-            return True
-        if not path or t[-1] == top:
-            return visit(t, _limbs(packed, width), False)
-        return False
 
-    _walk(path, top, width, unpack)
+def _signed(entry: int, width: int, high: int) -> tuple[int, ...]:
+    """The coefficients of an entry that trips, exactly, trimmed: its
+    digits lie in [-2^(W-1), 2^(W-1)), and entry + high holds each one
+    moved up by 2^(W-1), in one limb."""
+    half = 1 << width - 1
+    return _trimmed([c - half for c in _limbs(entry + high, width)])
 
 
 def _limb_bound(sizes: dict[int, Collection[int]]) -> int:
@@ -220,9 +212,13 @@ def _walk(path: PeakSet, top: int, width: int,
     prefix tree of admissible sets, children in increasing last element:
     in lexicographic order.  A visit that returns _SKIP passes over t's
     subtree; any other true one prunes t's subtree and its later siblings,
-    the sets built from t.
+    the sets built from t.  With m = max(t), t1 = t minus m and
+    t2 = t1 + (m - 1),
 
-    Limb j, width bits wide, holds c_j at centre m = max(t).  t1 is t's
+        p_t(x) = p_t1(m - 1) C(x, m - 1) - 2 p_t1(x) - p_t2(x),
+
+    p_() = 1 and p of an inadmissible set 0 (Billey, Burdzy and Sagan).
+    Limb j, width bits wide, holds c_j at centre m.  t1 is t's
     parent u and t2 its previous sibling, so u's frame holds what a step
     reads: u's entry a, a Pascal step on per child (a + (a >> width)), at
     centre m - 1; b, the previous sibling's (0 when t2 is inadmissible);
@@ -262,10 +258,29 @@ def _walk(path: PeakSet, top: int, width: int,
 
 def _limbs(packed: int, width: int) -> tuple[int, ...]:
     """The limbs of packed, width (a multiple of 64) bits each, lowest
-    first, up to the last nonzero one, from one unpack into 64-bit words;
-    each column of upper words is ORed in at C level, unless all 0."""
-    count = -(-packed.bit_length() // width)
-    words = struct.unpack(f"<{count * width // 64}Q", packed.to_bytes(count * width // 8, "little"))
+    first, up to the last nonzero one (see _unpack)."""
+    return _unpack(packed.to_bytes(-(-packed.bit_length() // width) * width // 8, "little"), width)
+
+
+def _rows(batch: list[tuple[PeakSet, int]], m: int,
+          width: int) -> tuple[tuple[int, ...], int]:
+    """The limbs of the packed entry of each (set, entry) pair in batch,
+    row after row in batch order, and the length of a row: m, from one join
+    of the entries' bytes and one unpack (see _unpack), or, if an entry
+    needs more than m limbs, as many as the longest needs."""
+    try:
+        data = b"".join([entry.to_bytes(m * width // 8, "little") for _, entry in batch])
+    except OverflowError:
+        m = max(-(-entry.bit_length() // width) for _, entry in batch)
+        data = b"".join([entry.to_bytes(m * width // 8, "little") for _, entry in batch])
+    return _unpack(data, width), m
+
+
+def _unpack(data: bytes, width: int) -> tuple[int, ...]:
+    """The limbs of the little-endian data, width (a multiple of 64) bits
+    each, lowest first, from one unpack into 64-bit words; each column of
+    upper words is ORed in at C level, unless all 0."""
+    words = struct.unpack(f"<{len(data) // 8}Q", data)
     step = width // 64
     limbs = words[::step]
     for i in range(1, step):

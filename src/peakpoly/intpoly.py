@@ -20,8 +20,9 @@ import csv
 import io
 import itertools
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from operator import add
-from typing import Iterable, NamedTuple
 
 
 def binomial(t: int, j: int) -> int:
@@ -69,6 +70,14 @@ def _shift_center(coeffs: list[int], steps: int) -> list[int]:
     return coeffs
 
 
+def _trimmed(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """coeffs as a tuple without its trailing zeros, in one pass."""
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return tuple(coeffs[:end])
+
+
 class BinomialPolynomial:
     """Immutable integer-valued polynomial sum_j coeffs[j] * C(x - center, j).
 
@@ -88,11 +97,8 @@ class BinomialPolynomial:
         for c in coeffs:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficients must be integers, got {c!r}")
-        end = len(coeffs)
-        while end and coeffs[end - 1] == 0:
-            end -= 1
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "coeffs", coeffs[:end])
+        object.__setattr__(self, "coeffs", _trimmed(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -247,17 +253,15 @@ def sum_polynomials(polys: Iterable[BinomialPolynomial]) -> BinomialPolynomial:
     return total
 
 
-class DifferenceTable(NamedTuple):
+class DifferenceTable(namedtuple("DifferenceTable", "jmax kmin kmax cells")):
     """Grid of iterated forward differences: cell (j, k) holds (D^j f)(k).
 
     Rows run j = 0..jmax top to bottom, columns k = kmin..kmax left to
-    right.  Interior cells satisfy T[j][k] = T[j-1][k+1] - T[j-1][k].
+    right, a tuple of int tuples.  Interior cells satisfy
+    T[j][k] = T[j-1][k+1] - T[j-1][k].
     """
 
-    jmax: int
-    kmin: int
-    kmax: int
-    cells: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def value(self, j: int, k: int) -> int:
         if not 0 <= j <= self.jmax:

@@ -16,8 +16,8 @@ above a configurable cap instead of grinding for hours.
 """
 
 import itertools
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 Permutation = tuple[int, ...]
 PeakSet = tuple[int, ...]

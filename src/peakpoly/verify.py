@@ -10,10 +10,11 @@ Each single-set function is verify_set with fixed checks, which validates
 its input once (check names, then the set, then k_max, before any build)
 and reads the coefficients once.  _verify decides each selected check's
 witness, None when it holds, in the branch that reports it, and reads
-its verdict off that witness.  The sweep first puts each set's
-coefficients through a quick test (_cleared) that only a set with no
-witness can pass, so a sweep that finds nothing builds no report; with
-workers, it walks the sets in forked processes, a group of subtrees each.
+its verdict off that witness.  The sweep first puts the coefficients of
+its sets, a batch of one maximum at a time, through a quick test
+(_batch_cleared) that only a batch with no witness in any set can pass, so
+a sweep that finds nothing builds no report; with workers, it walks the
+sets in forked processes, a group of subtrees each.
 """
 
 import itertools
@@ -21,12 +22,14 @@ import marshal
 import os
 import sys
 import time
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from operator import add, ge, mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
 
-from peakpoly.engine import _SKIP, _build, _peak_coefficients, _recursion_counts
-from peakpoly.intpoly import _shift_center
+from peakpoly.engine import (_SKIP, _packing, _peak_coefficients, _recursion_counts, _rows,
+                             _signed, _walk)
+from peakpoly.intpoly import _shift_center, _trimmed
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -39,16 +42,17 @@ from peakpoly.perms import (
 SWEEP_CHECKS = ("positivity", "logconcavity")
 ALL_CHECKS = ("positivity", "logconcavity", "counts")
 
+# the most sets of one maximum that the sweep holds before it tests them
+_BATCH = 64
+
 # why the polynomial checks refuse the empty set
 _EMPTY = "the empty peak set has no maximum to verify at"
 
 
-class CheckResult(NamedTuple):
+class CheckResult(namedtuple("CheckResult", "name passed witness", defaults=(None,))):
     """Outcome of one named check; witness locates the first violation."""
 
-    name: str
-    passed: bool
-    witness: object = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         witness = self.witness
@@ -57,14 +61,13 @@ class CheckResult(NamedTuple):
         return {"name": self.name, "passed": self.passed, "witness": witness}
 
 
-class VerificationReport(NamedTuple):
-    """Per-set record of check outcomes and the coefficient sequence at m."""
+class VerificationReport(namedtuple("VerificationReport", "positions m checks coefficients notes",
+                                    # read-only, so reports share no dict
+                                    defaults=(MappingProxyType({}),))):
+    """Per-set record of check outcomes (a tuple of CheckResult) and the
+    coefficient sequence at m, with notes, a mapping."""
 
-    positions: PeakSet
-    m: int
-    checks: tuple[CheckResult, ...]
-    coefficients: tuple[int, ...]
-    notes: Mapping = MappingProxyType({})  # read-only, so reports share no dict
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -128,22 +131,26 @@ def _check_names(checks: Iterable[str], allowed: tuple[str, ...]) -> tuple[str, 
     return names
 
 
-def _cleared(raw: tuple[int, ...], m: int, logconcavity: bool) -> bool:
-    """True only when the checks that _verify makes on raw at centre
-    m >= 1 find no witness, for positivity and, if logconcavity, for it
-    too: the sweep's quick test, two passes at C level, before any witness
-    scan.
+def _batch_cleared(limbs: tuple[int, ...], length: int, m: int, logconcavity: bool) -> bool:
+    """True only when the checks that _verify makes at centre m >= 1 find
+    no witness in any row of limbs, rows of the given length laid out one
+    after another, for positivity and, if logconcavity, for it too: the
+    sweep's quick test, one C-level pass per coefficient column, before any
+    witness scan.
 
-    raw of length m with c_0 = 0 and c_1..c_(m-1) > 0 clears positivity:
+    A row of length m with c_0 = 0 and c_1..c_(m-1) > 0 clears positivity:
     the scan stops at centre m, nothing lies past degree m - 1, and
-    p(m) = 0.  On such a raw, log-concavity reads c_j^2 >= c_(j-1) c_(j+1)
-    for j = 2..m-2, the witness range.  False says nothing: the caller
-    builds the report.
+    p(m) = 0.  On such rows, log-concavity reads c_j^2 >= c_(j-1) c_(j+1)
+    for j = 2..m-2, the witness range.  False says nothing of any one row:
+    the caller builds each row's report.
     """
-    if len(raw) != m or raw[0] or min(raw[1:], default=0) <= 0:
+    if length != m:
         return False
-    mid = raw[2:m - 1]
-    return not logconcavity or all(map(ge, map(mul, mid, mid), map(mul, raw[1:m - 2], raw[3:m])))
+    c = [limbs[j::m] for j in range(m)]  # the columns c_0..c_(m-1)
+    if any(c[0]) or min(map(min, c[1:]), default=0) <= 0:
+        return False
+    return not logconcavity or all(all(map(ge, map(mul, c[j], c[j]), map(mul, c[j - 1], c[j + 1])))
+                                   for j in range(2, m - 1))
 
 
 def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int = 0,
@@ -283,18 +290,16 @@ def verify_set(positions: Iterable[int],
     return _verify(s, _peak_coefficients(s), names, m + k_extra, n_max, max_n)
 
 
-class SweepSummary(NamedTuple):
-    """Aggregate of one verification sweep.
+class SweepSummary(namedtuple("SweepSummary",
+                              "m_max checks sets_checked failures elapsed_seconds")):
+    """Aggregate of one verification sweep: failures holds the reports of
+    the sets that failed, a tuple of VerificationReport.
 
     elapsed_seconds is informational; everything else is deterministic for
     a given (m_max, checks), the same for every worker count.
     """
 
-    m_max: int
-    checks: tuple[str, ...]
-    sets_checked: int
-    failures: tuple[VerificationReport, ...]
-    elapsed_seconds: float
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -387,15 +392,20 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
 
     One walk of the prefix tree builds each set from its parent and its
     previous sibling just before its checks (see engine._walk), so the sets
-    are canonical and admissible by construction and none is validated.  A
-    set whose coefficients are c_0 = 0 and c_1..c_(m-1) > 0, and log-concave
-    with logconcavity selected, is cleared by two C-level passes (_cleared);
-    any other is kept, and at the end gets verify_set's full report, kept
-    if a check fails.  A set built with a negative coefficient trips: the
-    walk prunes the sets built from it, all of larger maximum, and the
-    least such set in (max, lex) order is the last one checked and
-    reported, as in a build in that order.  No set above a trip's maximum
-    can be reported, so from a trip on the walk prunes those too.
+    are canonical and admissible by construction and none is validated.
+    The sets of one maximum m are tested in batches of up to _BATCH
+    (_batch_cleared): a batch whose rows all have c_0 = 0 and c_1..c_(m-1)
+    > 0, and are log-concave with logconcavity selected, is cleared by one
+    C-level pass per coefficient column.  A batch is tested once full,
+    before the next singleton's counts start, at a trip of its maximum and
+    at the end, so its sets are the last ones counted of maximum m.  Each
+    set of a batch that is not cleared is kept, and at the end gets
+    verify_set's full report, kept if a check fails.  A set built with a
+    negative coefficient trips: the walk prunes the sets built from it, all
+    of larger maximum, and the least such set in (max, lex) order is the
+    last one checked and reported, as in a build in that order.  No set
+    above a trip's maximum can be reported, so from a trip on the walk
+    prunes those too, and drops their batches untested.
 
     The subtrees below the singletons {k} are independent once {k} is
     built: each process walks one group of them (_deal, _walk_groups) and
@@ -412,6 +422,7 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         raise ValueError(f"k_extra must be >= 0, got {k_extra}")
 
     logconcavity = "logconcavity" in names
+    width, high = _packing((), m_max)
 
     def walk(group: list[int]) -> tuple[dict, list]:
         # visited sets by root, then maximum; kept sets (max, rank within
@@ -419,23 +430,49 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         counts: dict[int, list[int]] = {}
         kept = []
         roots, visited, bound = set(group), [], m_max
+        # by maximum, the (set, entry) pairs not yet tested: the last ones
+        # of that maximum visited under the current root
+        batches: list[list[tuple[PeakSet, int]]] = [[] for _ in range(m_max + 1)]
 
-        def check(s: PeakSet, raw: tuple[int, ...], tripped: bool) -> object:
+        def flush(m: int) -> None:
+            batch = batches[m]
+            if not batch:
+                return
+            limbs, length = _rows(batch, m, width)
+            if not _batch_cleared(limbs, length, m, logconcavity):
+                first = visited[m] - len(batch) + 1
+                kept.extend((m, first + i, False, t, _trimmed(limbs[i * length:(i + 1) * length]))
+                            for i, (t, _) in enumerate(batch))
+            batch.clear()
+
+        def check(t: PeakSet, entry: int) -> object:
             nonlocal visited, bound
-            m = s[-1]
+            m = t[-1]
             if m > bound:
                 return True
-            if s[0] == m:  # a singleton, a root
+            if t[0] == m:  # a singleton, a root
                 if m not in roots:
                     return _SKIP
+                for k in range(m_max + 1):
+                    flush(k)
                 visited = counts[m] = [0] * (m_max + 1)
+            if entry < 0 or entry & high:  # trips: some c_j < 0
+                flush(m)
+                for above in batches[m + 1:]:
+                    above.clear()
+                visited[m] += 1
+                kept.append((m, visited[m], True, t, _signed(entry, width, high)))
+                bound = m
+                return True
             visited[m] += 1
-            if tripped or not _cleared(raw, m, logconcavity):
-                kept.append((m, visited[m], tripped, s, raw))
-                if tripped:
-                    bound = m
+            batch = batches[m]
+            batch.append((t, entry))
+            if len(batch) == _BATCH:
+                flush(m)
 
-        _build((), m_max, check)
+        _walk((), m_max, width, check)
+        for m in range(m_max + 1):
+            flush(m)
         return counts, kept
 
     start = time.perf_counter()

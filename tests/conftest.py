@@ -3,20 +3,32 @@ import pytest
 
 @pytest.fixture
 def plant_coefficients(monkeypatch):
-    """plant(change): every build hands out change(t, coefficients of p_t)
-    for each set t it hands out, which is where verify_set (through
-    _peak_coefficients) and the sweep both read the coefficients; the sets
-    built from t still use its real entry."""
+    """plant(change): the coefficients of p_t read as change(t, coefficients
+    of p_t) for each nonempty admissible set t, where verify_set (through
+    _peak_coefficients) and the sweep (where _rows turns a batch into rows)
+    read them.  Each planted row reaches the sweep's quick test and _verify
+    as planted, laid out with zeros after it to the length of the longest
+    row (and trimmed of them, like every coefficient tuple, for _verify);
+    the sets built from t still use its real entry."""
     import peakpoly.engine as engine
     import peakpoly.verify as verify
-    build = engine._build
+    coefficients, rows = engine._peak_coefficients, engine._rows
 
     def plant(change):
-        def planting(path, top, visit):
-            build(path, top, lambda t, raw, tripped: visit(t, change(t, raw), tripped))
+        def planted_coefficients(s):
+            raw = coefficients(s)
+            return change(s, raw) if s and raw else raw  # built, not () or inadmissible
+
+        def planted_rows(batch, m, width):
+            limbs, length = rows(batch, m, width)
+            planted = [change(t, limbs[i * length:(i + 1) * length])
+                       for i, (t, _) in enumerate(batch)]
+            length = max(map(len, planted))
+            return tuple(c for row in planted for c in (*row, *[0] * (length - len(row)))), length
 
         for module in (engine, verify):
-            monkeypatch.setattr(module, "_build", planting)
+            monkeypatch.setattr(module, "_peak_coefficients", planted_coefficients)
+        monkeypatch.setattr(verify, "_rows", planted_rows)
 
     return plant
 
@@ -25,9 +37,11 @@ def plant_coefficients(monkeypatch):
 def plant_negative_limb(monkeypatch):
     """plant(target, j, *more): the packed entry of the set target is
     handed on with c_j = -1, as a wrong build step would make it, to the
-    test of its sign that every entry passes before it is unpacked; more
-    holds further (target, j) pairs.  Each call replaces the last one's."""
+    test of its sign that every entry passes before it is unpacked, in a
+    sweep or a single set's build; more holds further (target, j) pairs.
+    Each call replaces the last one's."""
     import peakpoly.engine as engine
+    import peakpoly.verify as verify
     walk = engine._walk
 
     def plant(target, j, *more):
@@ -42,6 +56,7 @@ def plant_negative_limb(monkeypatch):
 
             walk(path, top, width, planted)
 
-        monkeypatch.setattr(engine, "_walk", planting)
+        for module in (engine, verify):
+            monkeypatch.setattr(module, "_walk", planting)
 
     return plant

@@ -369,8 +369,8 @@ def test_exit_codes_via_subprocess():
     assert _run_module("nonsense").returncode == 1
     # 3: a child plants c_1 = -1 in p_{3,5}'s packed entry, and the sweep
     # fails positivity there
-    plant = ("import sys, peakpoly.engine as engine, peakpoly.cli as cli; walk = engine._walk; "
-             "engine._walk = lambda path, top, w, visit: walk(path, top, w, lambda t, p: visit("
+    plant = ("import sys, peakpoly.verify as verify, peakpoly.cli as cli; walk = verify._walk; "
+             "verify._walk = lambda path, top, w, visit: walk(path, top, w, lambda t, p: visit("
              "t, p - ((p >> w) % (1 << w) + 1 << w) if t == (3, 5) else p)); "
              "sys.exit(cli.main(['sweep', '--max-m', '8']))")
     result = subprocess.run([sys.executable, "-c", plant], capture_output=True, text=True)
@@ -441,11 +441,12 @@ def test_cli_import_leaves_out_process_pools():
 def test_cold_import_leaves_out_dataclasses_and_inspect():
     # -S: no .pth file in site-packages can pre-load a module; dataclasses
     # pulls in inspect, ast, dis and tokenize, about 10 ms of every cold
-    # call, and tempfile 6-7 ms, needed only to write a sweep report
+    # call, and tempfile 6-7 ms, needed only to write a sweep report; the
+    # records are collections.namedtuple subclasses, so typing stays out too
     import peakpoly
     src = os.path.dirname(os.path.dirname(os.path.abspath(peakpoly.__file__)))
     code = (f"import sys; sys.path.insert(0, {src!r}); import peakpoly, peakpoly.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'tempfile'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'tempfile', 'typing'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

@@ -316,7 +316,8 @@ def _packed_singleton(k, width):
 
 
 def _record_packed_passes(monkeypatch):
-    # wrap engine._walk so each build's (width, entries) is recorded
+    # wrap the walk of single sets and sweeps so each build's (width,
+    # entries) is recorded
     import peakpoly.engine as engine
     walk, passes = engine._walk, []
 
@@ -330,7 +331,8 @@ def _record_packed_passes(monkeypatch):
 
         walk(path, top, width, keep)
 
-    monkeypatch.setattr(engine, "_walk", recording)
+    for module in (engine, verify):
+        monkeypatch.setattr(module, "_walk", recording)
     return passes
 
 

@@ -4,6 +4,7 @@ import multiprocessing.process
 import os
 import re
 import time
+from operator import ge, mul
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +19,7 @@ from peakpoly.verify import (
     SWEEP_CHECKS,
     CheckResult,
     SweepSummary,
-    _cleared,
+    _batch_cleared,
     _deal,
     _positivity_violation,
     _verify,
@@ -212,14 +213,89 @@ def _raw_and_centre(draw):
     return tuple(raw), m
 
 
+def _laid_out(rows):
+    # rows as the sweep's batches lay them out: one after another, each
+    # with zeros after it to the length of the longest, and that length
+    length = max(map(len, rows))
+    return tuple(c for row in rows for c in (*row, *[0] * (length - len(row)))), length
+
+
 @given(_raw_and_centre(), st.integers(min_value=0, max_value=5),
        st.sampled_from([("positivity",), ("logconcavity",), SWEEP_CHECKS]))
 def test_the_quick_test_clears_only_sets_without_a_witness(raw_and_centre, k_extra, names):
     # the sweep builds no report for a set that its quick test clears, so
-    # a cleared set must pass every selected check
+    # a cleared set, here a batch of one, must pass every selected check
     raw, m = raw_and_centre
-    if _cleared(raw, m, "logconcavity" in names):
+    if _batch_cleared(*_laid_out([raw]), m, "logconcavity" in names):
         assert _verify((m,), raw, names, m + k_extra).passed
+
+
+def _reference_cleared(raw: tuple[int, ...], m: int, logconcavity: bool) -> bool:
+    """True only when the checks that _verify makes on raw at centre
+    m >= 1 find no witness, for positivity and, if logconcavity, for it
+    too: the sweep's quick test, two passes at C level, before any witness
+    scan.
+
+    raw of length m with c_0 = 0 and c_1..c_(m-1) > 0 clears positivity:
+    the scan stops at centre m, nothing lies past degree m - 1, and
+    p(m) = 0.  On such a raw, log-concavity reads c_j^2 >= c_(j-1) c_(j+1)
+    for j = 2..m-2, the witness range.  False says nothing: the caller
+    builds the report.
+    """
+    if len(raw) != m or raw[0] or min(raw[1:], default=0) <= 0:
+        return False
+    mid = raw[2:m - 1]
+    return not logconcavity or all(map(ge, map(mul, mid, mid), map(mul, raw[1:m - 2], raw[3:m])))
+
+
+@st.composite
+def _batch(draw):
+    # 1-5 rows of one m, each a peak polynomial's, a row of positive
+    # c_1..c_(m-1) or a geometric one (every log-concavity pair a tie),
+    # then kept or spoiled once: c_0 != 0, a zero or negative c_j, a zero
+    # top coefficient (trimmed or not), a zero or an extra limb after it,
+    # a dip or a tie
+    m = draw(st.integers(min_value=1, max_value=10))
+    sets = [s for s in structurally_admissible_sets(m) if s[-1] == m]
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        row = draw(st.one_of(
+            st.sampled_from([list(peak_polynomial(s).coeffs) for s in sets] or [[0]]),
+            st.lists(st.integers(min_value=1, max_value=60), min_size=m - 1,
+                     max_size=m - 1).map(lambda c: [0, *c]),
+            st.integers(min_value=2, max_value=4).map(
+                lambda r: [0] + [r ** j for j in range(m - 1)])))
+        kind = draw(st.sampled_from(["keep", "c0", "cj", "top zero", "zero after",
+                                     "extra limb", "dip", "tie"]))
+        if kind == "c0":
+            row[0] = draw(st.sampled_from([-2, -1, 1, 3]))
+        elif kind == "cj" and m > 1:
+            row[draw(st.integers(min_value=1, max_value=m - 1))] = draw(
+                st.integers(min_value=-3, max_value=0))
+        elif kind == "top zero" and m > 1:
+            row[-1] = 0
+            if draw(st.booleans()):
+                row.pop()
+        elif kind in ("zero after", "extra limb"):
+            row.append(0 if kind == "zero after" else draw(st.integers(min_value=1, max_value=9)))
+        elif kind in ("dip", "tie") and m > 3:
+            j = draw(st.integers(min_value=2, max_value=m - 2))
+            if kind == "dip":
+                row[j] = 1
+            else:
+                a, r = (draw(st.integers(min_value=1, max_value=9)) for _ in range(2))
+                row[j - 1:j + 2] = [a, a * r, a * r * r]
+        rows.append(tuple(row))
+    return rows, m
+
+
+@given(_batch(), st.booleans())
+def test_the_column_test_clears_a_batch_exactly_when_every_row_is_cleared(batch, logconcavity):
+    # one pass per coefficient column over a batch decides what one quick
+    # test per row decides for all of them
+    rows, m = batch
+    assert _batch_cleared(*_laid_out(rows), m, logconcavity) == all(
+        _reference_cleared(row, m, logconcavity) for row in rows)
 
 
 def test_positivity_of_peak_polynomials_needs_no_shift(monkeypatch):
@@ -465,11 +541,14 @@ def test_planted_failures_are_found_in_every_worker(plant_coefficients):
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("plants", [
+_TRIPS = [
     (((2, 8), 1), ((3, 7), 1)),  # in the subtrees of {2} and {3}, two groups
     (((6,), 2),),  # a singleton: prunes every later singleton
     (((3, 6), 1), ((6,), 2), ((2, 9, 11), 3)),
-])
+]
+
+
+@pytest.mark.parametrize("plants", _TRIPS)
 def test_trips_across_processes_give_the_one_process_summary(plant_negative_limb, plants):
     assert {2, 3} - set(_deal(12, 2)[0]) == {3}
     plant_negative_limb(*plants[0], *plants[1:])
@@ -483,28 +562,67 @@ def test_trips_across_processes_give_the_one_process_summary(plant_negative_limb
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("plants", [None, *_TRIPS],
+                         ids=["spoiled", "two-groups", "singleton", "three-trips"])
+def test_the_summary_does_not_depend_on_the_batch_size(monkeypatch, plant_coefficients,
+                                                      plant_negative_limb, plants):
+    # a kept set's rank comes from the count of its maximum when its batch
+    # is tested, so batches cut anywhere, flushed at every root and at a
+    # trip, in one process or two, give the same summary
+    import peakpoly.verify as verify
+    if plants is None:
+        plant_coefficients(_spoil)
+    else:
+        plant_negative_limb(*plants[0], *plants[1:])
+    one = _fields(sweep(12))
+    assert one.failures
+    for batch in (1, 2, 3, 7, verify._BATCH):
+        monkeypatch.setattr(verify, "_BATCH", batch)
+        for workers in (1, 2):
+            assert _fields(sweep(12, workers=workers)) == one, (batch, workers)
+    _assert_no_child_left()
+
+
+def test_a_failing_set_just_after_a_trip_is_not_reported(monkeypatch, plant_coefficients,
+                                                         plant_negative_limb):
+    # (4, 6) follows (3, 6) in (max, lex) order, and its batch is tested
+    # after (3, 6) trips: its rank, read off the count of maximum 6, puts
+    # it past the trip, so its planted dip is never reported
+    import peakpoly.verify as verify
+    sets = structurally_admissible_sets(8)
+    assert sets.index((4, 6)) == sets.index((3, 6)) + 1
+    plant_negative_limb((3, 6), 1)
+    plant_coefficients(lambda t, raw: (0, 25, 50, 1, 18, 3) if t == (4, 6) else raw)
+    for batch in (1, 2, verify._BATCH):
+        monkeypatch.setattr(verify, "_BATCH", batch)
+        summary = sweep(8)
+        assert [report.positions for report in summary.failures] == [(3, 6)], batch
+        assert summary.sets_checked == sets.index((3, 6)) + 1
+
+
 def test_after_a_trip_no_set_above_it_is_checked(monkeypatch, plant_negative_limb):
     # a set of larger maximum than a trip can never be reported, so after
     # (3, 6) trips the visit prunes the first set above 6 among each set's
-    # children, with its later siblings and its subtree, and checks none
+    # children, with its later siblings and its subtree, drops the batches
+    # above 6 untested, and tests none
     import peakpoly.verify as verify
     sets = structurally_admissible_sets(12)
     plant_negative_limb((3, 6), 1)
-    build, cleared, log = verify._build, verify._cleared, []
+    walk, cleared, log = verify._walk, verify._batch_cleared, []
 
-    def recording(path, top, visit):
-        def record(t, raw, tripped):
+    def recording(path, top, width, visit):
+        def record(t, entry):
             log.append(("handed", t))
-            return visit(t, raw, tripped)
+            return visit(t, entry)
 
-        build(path, top, record)
+        walk(path, top, width, record)
 
-    def checking(raw, m, logconcavity):
+    def checking(limbs, length, m, logconcavity):
         log.append(("checked", m))
-        return cleared(raw, m, logconcavity)
+        return cleared(limbs, length, m, logconcavity)
 
-    monkeypatch.setattr(verify, "_build", recording)
-    monkeypatch.setattr(verify, "_cleared", checking)
+    monkeypatch.setattr(verify, "_walk", recording)
+    monkeypatch.setattr(verify, "_batch_cleared", checking)
     summary = sweep(12)
     (report,) = summary.failures
     assert report.positions == (3, 6)
@@ -555,13 +673,13 @@ def test_without_fork_the_workers_run_in_this_process(monkeypatch, fork):
             raise OSError("no more processes")
 
         monkeypatch.setattr(os, "fork", refuse)
-    build, pids = verify._build, []
+    walk, pids = verify._walk, []
 
-    def recording(path, top, visit):
+    def recording(path, top, width, visit):
         pids.append(os.getpid())
-        build(path, top, visit)
+        walk(path, top, width, visit)
 
-    monkeypatch.setattr(verify, "_build", recording)
+    monkeypatch.setattr(verify, "_walk", recording)
     assert _fields(sweep(12, workers=2)) == _fields(one)
     assert pids == [os.getpid()]  # one walk, of both groups
     _assert_no_child_left()
@@ -594,16 +712,16 @@ def test_a_failed_worker_s_group_is_walked_here(monkeypatch, plant_coefficients,
     import peakpoly.verify as verify
     plant_coefficients(_spoil)
     one = sweep(12)
-    parent, build, walks = os.getpid(), verify._build, []
+    parent, walk, walks = os.getpid(), verify._walk, []
 
-    def walking(path, top, visit):
+    def walking(path, top, width, visit):
         if os.getpid() == parent:
             walks.append(top)
         elif failure == "exit":
             os._exit(1)
-        build(path, top, visit)
+        walk(path, top, width, visit)
 
-    monkeypatch.setattr(verify, "_build", walking)
+    monkeypatch.setattr(verify, "_walk", walking)
     if failure == "status":
         exit_ = os._exit
         monkeypatch.setattr(os, "_exit", lambda code: exit_(1))
@@ -621,15 +739,15 @@ def test_no_worker_outlives_a_sweep_that_raises(monkeypatch):
     # the workers are still walking when the parent's own walk fails: each
     # is killed and reaped before the exception leaves sweep
     import peakpoly.verify as verify
-    build, parent = verify._build, os.getpid()
+    walk, parent = verify._walk, os.getpid()
 
-    def failing(path, top, visit):
+    def failing(path, top, width, visit):
         if os.getpid() == parent:
             raise RuntimeError("planted")
         time.sleep(60)
-        build(path, top, visit)
+        walk(path, top, width, visit)
 
-    monkeypatch.setattr(verify, "_build", failing)
+    monkeypatch.setattr(verify, "_walk", failing)
     pids = _forks(monkeypatch)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="^planted$"):
@@ -662,6 +780,7 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     # order, so a depth-first walk of the prefix tree builds each set from
     # entries already made: one walk, one step per set
     import peakpoly.engine as engine
+    import peakpoly.verify as verify
     unpatched = sweep(12)
 
     def refuse(*args):
@@ -680,7 +799,7 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
         walk(path, top, width, step)
 
     monkeypatch.setattr(engine, "_closure", refuse)
-    monkeypatch.setattr(engine, "_walk", counting)
+    monkeypatch.setattr(verify, "_walk", counting)
     patched = sweep(12)
     for field in ("m_max", "checks", "sets_checked", "failures"):
         assert getattr(patched, field) == getattr(unpatched, field)
@@ -688,24 +807,30 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     assert steps == sorted(structurally_admissible_sets(12))
 
 
+def _record_rows(monkeypatch):
+    # wrap the point where the sweep turns a batch into rows, so each set
+    # and its row of coefficients is recorded, batch by batch
+    import peakpoly.verify as verify
+    rows, handed = verify._rows, []
+
+    def recording(batch, m, width):
+        limbs, length = rows(batch, m, width)
+        handed.extend((t, limbs[i * length:(i + 1) * length]) for i, (t, _) in enumerate(batch))
+        return limbs, length
+
+    monkeypatch.setattr(verify, "_rows", recording)
+    return handed
+
+
 def test_sweep_coefficients_satisfy_the_first_difference_identity(monkeypatch):
     # an independent reference for what the packed walk hands the checks:
     # each set's first difference is the sum of its derived sets'
     # polynomials, in the public basis arithmetic (criterion 7, to m = 16),
     # and p_S(max S) = 0; by induction from p_() = 1 that pins every entry
-    import peakpoly.verify as verify
-    built = {(): BinomialPolynomial(0, (1,))}
-    build = verify._build
-
-    def keeping(path, top, visit):
-        def keep(t, raw, tripped):
-            built[t] = BinomialPolynomial(t[-1], raw)
-            visit(t, raw, tripped)
-
-        build(path, top, keep)
-
-    monkeypatch.setattr(verify, "_build", keeping)
+    handed = _record_rows(monkeypatch)
     summary = sweep(16)
+    built = {(): BinomialPolynomial(0, (1,))}
+    built.update((t, BinomialPolynomial(t[-1], row)) for t, row in handed)
     assert summary.sets_checked == len(built) - 1 == 1596
     for s in structurally_admissible_sets(16):
         m = s[-1]
@@ -721,24 +846,13 @@ def test_sweep_coefficients_satisfy_the_first_difference_identity(monkeypatch):
 
 
 def test_sweep_table_equals_the_chain_build(monkeypatch):
-    # what the sweep's one walk hands the checks, set by set in
-    # lexicographic order, is what a cold build of that set's chain gives
-    # for that set alone
-    import peakpoly.verify as verify
+    # what the sweep's batches hand the checks, each set once, is what a
+    # cold build of that set's chain gives for that set alone
     sets = structurally_admissible_sets(16)
     assert len(sets) == 1596
-    build, handed = verify._build, []
-
-    def recording(path, top, visit):
-        def record(t, raw, tripped):
-            handed.append((t, raw))
-            visit(t, raw, tripped)
-
-        build(path, top, record)
-
-    monkeypatch.setattr(verify, "_build", recording)
+    handed = _record_rows(monkeypatch)
     sweep(16)
-    assert handed == [(s, peak_polynomial(s).coeffs) for s in sorted(sets)]
+    assert sorted(handed) == [(s, peak_polynomial(s).coeffs) for s in sorted(sets)]
 
 
 def test_a_negative_limb_trips_and_ends_the_build(plant_negative_limb):
@@ -783,16 +897,16 @@ def test_a_trip_ends_the_sweep_in_max_lex_order_not_in_walk_order(monkeypatch,
     assert sorted([(2, 8), (5, 7)]) == [(2, 8), (5, 7)]
     assert sets.index((5, 7)) < sets.index((2, 8))
     plant_negative_limb((2, 8), 1, ((5, 7), 1))
-    build, handed = verify._build, []
+    walk, handed = verify._walk, []
 
-    def recording(path, top, visit):
-        def record(t, raw, tripped):
+    def recording(path, top, width, visit):
+        def record(t, entry):
             handed.append(t)
-            visit(t, raw, tripped)
+            return visit(t, entry)
 
-        build(path, top, record)
+        walk(path, top, width, record)
 
-    monkeypatch.setattr(verify, "_build", recording)
+    monkeypatch.setattr(verify, "_walk", recording)
     summary = sweep(8)
     assert [report.positions for report in summary.failures] == [(5, 7)]
     assert summary.sets_checked == sets.index((5, 7)) + 1
