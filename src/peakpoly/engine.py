@@ -121,21 +121,26 @@ def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
     """Coefficients of p_s at centre max(s), trimmed of trailing zeros (so
     the degree check can see a short result), for a canonical s; (1,) for
     () and () for an inadmissible s, whose p is 0 (see _walk).  Built
-    along the path to s, its chain, unless a set on it trips."""
+    from its chain, each (s_1, ..., s_(i-1), j) with s_(i-1) + 2 <= j <=
+    s_i (s_0 = 0): the walk bounded by s, whose visit passes over the
+    subtree of each set off the path to s, unless a set on it trips."""
     if not s:
         return (1,)
     if _violation(s) is not None:
         return ()
     width, high = _packing(s, s[-1])
+    size = high.bit_length() // 8  # the bytes of s[-1] limbs, which hold s's entry
     handed = []  # s, or the set that tripped below it
 
-    def visit(t: PeakSet, entry: int) -> bool:
+    def visit(t: PeakSet, entry: int) -> object:
         tripped = entry < 0 or entry & high != 0
-        if tripped or t == s:
-            handed.append((t, _signed(entry, width, high) if tripped else _limbs(entry, width)))
-        return tripped
+        if tripped:
+            handed.append((t, _signed(entry, width, high)))
+        elif t == s:
+            handed.append((t, _trimmed(_unpack(entry.to_bytes(size, "little"), width))))
+        return tripped or t[-1] != s[len(t) - 1] and _SKIP
 
-    _walk(s, s[-1], width, visit)
+    _walk(s, width, visit)
     ((t, coeffs),) = handed
     if t != s:
         j = next(j for j, c in enumerate(coeffs) if c < 0)
@@ -145,8 +150,8 @@ def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
 
 
 def _packing(path: PeakSet, top: int) -> tuple[int, int]:
-    """(W, high) for _walk(path, top, W, visit), a sweep to top if path is
-    (), else the chain of path (top = max(path)): W the least multiple of
+    """(W, high) for a walk at width W: a sweep to top if path is (), else
+    the chain of path (top = max(path)): W the least multiple of
     64 with _limb_bound < 2^(W-1) over the walk's (maximum, size) classes,
     high 2^(W-1) in each of top limbs, as many as any entry has.  An entry
     trips, some c_j < 0, exactly when it is < 0 or has a bit of high set
@@ -163,7 +168,8 @@ def _signed(entry: int, width: int, high: int) -> tuple[int, ...]:
     digits lie in [-2^(W-1), 2^(W-1)), and entry + high holds each one
     moved up by 2^(W-1), in one limb."""
     half = 1 << width - 1
-    return _trimmed([c - half for c in _limbs(entry + high, width)])
+    data = (entry + high).to_bytes(high.bit_length() // 8, "little")
+    return _trimmed([c - half for c in _unpack(data, width)])
 
 
 def _limb_bound(sizes: dict[int, Collection[int]]) -> int:
@@ -204,13 +210,11 @@ def _limb_bound(sizes: dict[int, Collection[int]]) -> int:
 _SKIP = "skip"
 
 
-def _walk(path: PeakSet, top: int, width: int,
-          visit: Callable[[PeakSet, int], object]) -> None:
-    """visit(t, p_t packed into one int) for each set t of the chain of
-    path (with a_0 = 0, each (a_1, ..., a_(i-1), j), a_(i-1) + 2 <= j <=
-    a_i), then each extending path with max <= top, depth first over the
-    prefix tree of admissible sets, children in increasing last element:
-    in lexicographic order.  A visit that returns _SKIP passes over t's
+def _walk(ends: PeakSet, width: int, visit: Callable[[PeakSet, int], object]) -> None:
+    """visit(t, p_t packed into one int) for each admissible t of at most
+    len(ends) elements with t[i] <= ends[i], depth first over the prefix
+    tree of admissible sets, children in increasing last element: in
+    lexicographic order.  A visit that returns _SKIP passes over t's
     subtree; any other true one prunes t's subtree and its later siblings,
     the sets built from t.  With m = max(t), t1 = t minus m and
     t2 = t1 + (m - 1),
@@ -235,10 +239,12 @@ def _walk(path: PeakSet, top: int, width: int,
     bit set, is some c_j < 0, and an entry that does not trip is exact.
     """
     mask = (1 << width) - 1
+    ends = (*ends, 0)  # no set is longer than ends
     # a frame: u, a, b, the next child's m and its ROW, the last child's m
-    frames = [((), 1, 0, 2, (1 << width) + 2, path[0] if path else top)]
+    frames = [((), 1, 0, 2, (1 << width) + 2, ends[0])]
     while frames:
         u, a, b, k, row, end = frames.pop()
+        last = ends[len(u) + 1]  # the last m of a child's children
         for k in range(k, end + 1):
             a += a >> width
             x = 2 * a + b
@@ -248,18 +254,11 @@ def _walk(path: PeakSet, top: int, width: int,
             if skip and skip is not _SKIP:
                 break
             row += (row << width) | 1
-            last = path[len(t)] if len(t) < len(path) else top  # of t's children
-            if k + 2 <= last and not skip and (len(t) > len(path) or t == path[:len(t)]):
+            if k + 2 <= last and not skip:
                 # u resumes at its next child once t's subtree is walked
                 frames += [(u, a, b, k + 1, row, end),
                            (t, b, 0, k + 2, row + ((row << width) | 1), last)]
                 break
-
-
-def _limbs(packed: int, width: int) -> tuple[int, ...]:
-    """The limbs of packed, width (a multiple of 64) bits each, lowest
-    first, up to the last nonzero one (see _unpack)."""
-    return _unpack(packed.to_bytes(-(-packed.bit_length() // width) * width // 8, "little"), width)
 
 
 def _rows(batch: list[tuple[PeakSet, int]], m: int,

@@ -396,22 +396,22 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     The sets of one maximum m are tested in batches of up to _BATCH
     (_batch_cleared): a batch whose rows all have c_0 = 0 and c_1..c_(m-1)
     > 0, and are log-concave with logconcavity selected, is cleared by one
-    C-level pass per coefficient column.  A batch is tested once full,
-    before the next singleton's counts start, at a trip of its maximum and
-    at the end, so its sets are the last ones counted of maximum m.  Each
-    set of a batch that is not cleared is kept, and at the end gets
-    verify_set's full report, kept if a check fails.  A set built with a
-    negative coefficient trips: the walk prunes the sets built from it, all
-    of larger maximum, and the least such set in (max, lex) order is the
-    last one checked and reported, as in a build in that order.  No set
-    above a trip's maximum can be reported, so from a trip on the walk
-    prunes those too, and drops their batches untested.
+    C-level pass per coefficient column.  A batch is tested once full and
+    at the end of the walk.  Each set of a batch that is not cleared is
+    kept, and at the end gets verify_set's full report, kept if a check
+    fails.  A set built with a negative coefficient trips: the walk prunes
+    the sets built from it, all of larger maximum, and the least such set
+    in (max, lex) order is the last one checked and reported, as in a
+    build in that order.  No set above a trip's maximum can be reported,
+    so from a trip on the walk prunes those too, and drops their batches
+    untested.
 
     The subtrees below the singletons {k} are independent once {k} is
     built: each process walks one group of them (_deal, _walk_groups) and
-    counts its sets by (singleton, maximum), and the counts under the
-    singletons before turn each kept set's rank into its (max, lex) key.
-    So the summary does not depend on the worker count.
+    counts its sets by (singleton, maximum).  Kept sets are ordered by
+    (max, set), and the counts under the singletons before the least trip's
+    turn its rank into the number of sets checked.  So the summary does
+    not depend on the worker count.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -425,23 +425,19 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     width, high = _packing((), m_max)
 
     def walk(group: list[int]) -> tuple[dict, list]:
-        # visited sets by root, then maximum; kept sets (max, rank within
-        # root and max, tripped, set, coefficients)
+        # visited sets by root, then maximum; kept rows (max, set, its rank
+        # within root and max if it tripped, else 0, coefficients)
         counts: dict[int, list[int]] = {}
         kept = []
         roots, visited, bound = set(group), [], m_max
-        # by maximum, the (set, entry) pairs not yet tested: the last ones
-        # of that maximum visited under the current root
+        # by maximum, the (set, entry) pairs not yet tested
         batches: list[list[tuple[PeakSet, int]]] = [[] for _ in range(m_max + 1)]
 
         def flush(m: int) -> None:
             batch = batches[m]
-            if not batch:
-                return
             limbs, length = _rows(batch, m, width)
             if not _batch_cleared(limbs, length, m, logconcavity):
-                first = visited[m] - len(batch) + 1
-                kept.extend((m, first + i, False, t, _trimmed(limbs[i * length:(i + 1) * length]))
+                kept.extend((m, t, 0, _trimmed(limbs[i * length:(i + 1) * length]))
                             for i, (t, _) in enumerate(batch))
             batch.clear()
 
@@ -453,26 +449,23 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
             if t[0] == m:  # a singleton, a root
                 if m not in roots:
                     return _SKIP
-                for k in range(m_max + 1):
-                    flush(k)
                 visited = counts[m] = [0] * (m_max + 1)
+            visited[m] += 1
             if entry < 0 or entry & high:  # trips: some c_j < 0
-                flush(m)
                 for above in batches[m + 1:]:
                     above.clear()
-                visited[m] += 1
-                kept.append((m, visited[m], True, t, _signed(entry, width, high)))
+                kept.append((m, t, visited[m], _signed(entry, width, high)))
                 bound = m
                 return True
-            visited[m] += 1
             batch = batches[m]
             batch.append((t, entry))
             if len(batch) == _BATCH:
                 flush(m)
 
-        _walk((), m_max, width, check)
-        for m in range(m_max + 1):
-            flush(m)
+        _walk((m_max,) * (m_max // 2), width, check)
+        for m, batch in enumerate(batches):
+            if batch:
+                flush(m)
         return counts, kept
 
     start = time.perf_counter()
@@ -485,15 +478,17 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     total = [0] * (m_max + 1)
     for k, visited in sorted(counts.items()):
         before[k], total = total, list(map(add, total, visited))
-    keyed = sorted(((m, before[s[0]][m] + rank), tripped, s, raw)
-                   for m, rank, tripped, s, raw in kept)
-    last = min((key for key, tripped, _, _ in keyed if tripped), default=(m_max, total[m_max]))
+    kept.sort()  # in (max, lex) order, as no two rows hold one set
+    # the least trip, if any, is the last set checked and reported
+    end = next((i for i, row in enumerate(kept) if row[2]), None)
+    checked = sum(total)
+    if end is not None:
+        m, s, rank, _ = kept[end]
+        checked = sum(total[:m]) + before[s[0]][m] + rank
+        del kept[end + 1:]
     failures = []
-    for key, _, s, raw in keyed:
-        if key > last:
-            break
-        report = _verify(s, raw, names, s[-1] + k_extra)
+    for m, s, _, raw in kept:
+        report = _verify(s, raw, names, m + k_extra)
         if not report.passed:
             failures.append(report)
-    return SweepSummary(m_max, names, sum(total[:last[0]]) + last[1], tuple(failures),
-                        time.perf_counter() - start)
+    return SweepSummary(m_max, names, checked, tuple(failures), time.perf_counter() - start)

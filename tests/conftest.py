@@ -47,14 +47,14 @@ def plant_negative_limb(monkeypatch):
     def plant(target, j, *more):
         targets = dict([(target, j), *more])
 
-        def planting(path, top, width, visit):
+        def planting(ends, width, visit):
             def planted(t, entry):
                 if t in targets:
                     j = targets[t]
                     entry -= ((entry >> j * width) % (1 << width) + 1) << j * width
                 return visit(t, entry)
 
-            walk(path, top, width, planted)
+            walk(ends, width, planted)
 
         for module in (engine, verify):
             monkeypatch.setattr(module, "_walk", planting)

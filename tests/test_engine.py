@@ -321,7 +321,7 @@ def _record_packed_passes(monkeypatch):
     import peakpoly.engine as engine
     walk, passes = engine._walk, []
 
-    def recording(path, top, width, visit):
+    def recording(ends, width, visit):
         entries = []
         passes.append((width, entries))
 
@@ -329,20 +329,31 @@ def _record_packed_passes(monkeypatch):
             entries.append((t, entry))
             return visit(t, entry)
 
-        walk(path, top, width, keep)
+        walk(ends, width, keep)
 
     for module in (engine, verify):
         monkeypatch.setattr(module, "_walk", recording)
     return passes
 
 
-def _walked(path, top, width=64):
-    # (t, packed entry) for each set that the walk visits, in its order;
-    # nothing is pruned, so a narrow width still visits every set
+def _walked(ends, width=64):
+    # (t, packed entry) for each set that the walk bounded by ends visits,
+    # in its order; nothing is pruned, so a narrow width still visits every set
     import peakpoly.engine as engine
     entries = []
-    engine._walk(path, top, width, lambda t, entry: entries.append((t, entry)))
+    engine._walk(ends, width, lambda t, entry: entries.append((t, entry)))
     return entries
+
+
+def test_the_walk_visits_every_admissible_set_within_its_ends():
+    # with a visit that never prunes, the walk bounded by ends visits each
+    # admissible set of at most len(ends) elements with t[i] <= ends[i], in
+    # lexicographic order, whether ends rises or not
+    for ends in ((2,), (5,), (5, 3), (3, 9), (9, 4, 12), (7, 5, 9, 8), (6, 12, 6, 14),
+                 (4, 6, 9), (13,) * 3, (12,) * 6):
+        expected = sorted(t for t in structurally_admissible_sets(max(ends))
+                          if len(t) <= len(ends) and all(x <= e for x, e in zip(t, ends)))
+        assert [t for t, _ in _walked(ends)] == expected, ends
 
 
 def _sizes(sets):
@@ -400,11 +411,11 @@ def test_wide_limbs_match_one_from_bytes_per_limb():
         for limbs in ([2 ** 64, 1], [0, 2 ** (width - 1) + 5, 0, 3], [1, 2 ** (width - 64), 3],
                       [rng.getrandbits(width) | 2 ** 64 for _ in range(9)]):
             packed = sum(c << j * width for j, c in enumerate(limbs))
-            data = packed.to_bytes(-(-packed.bit_length() // width) * width // 8, "little")
+            data = packed.to_bytes(len(limbs) * width // 8, "little")
             size = width // 8
             reference = tuple(int.from_bytes(data[i:i + size], "little")
                               for i in range(0, len(data), size))
-            assert engine._limbs(packed, width) == reference == tuple(limbs), width
+            assert engine._unpack(data, width) == reference == tuple(limbs), width
 
 
 def _pascal(v):
@@ -429,22 +440,28 @@ def _reference_limb_bounds(sets):
     return bound
 
 
-def test_the_limb_bound_covers_every_coefficient_with_no_sign_assumed():
+def test_the_limb_bound_covers_every_coefficient_with_no_sign_assumed(monkeypatch):
     # the width is never checked again once chosen, so the bound by
     # (maximum, size) class must be at least the bound set by set, and
     # above |c_j| of every set built: every set of a sweep, and every set
     # of a chain, where only its last is handed out
     import peakpoly.engine as engine
-    builds = [((), m) for m in range(2, 17)]
-    for s in ((40, 80), (3, 9, 30), (2, 5, 40), (120, 240), (5, 10, 20, 40, 80)):
-        builds.append((s, s[-1]))
-    for path, top in builds:
-        sets = [t for t, _ in _walked(path, top)]
+    chains = ((40, 80), (3, 9, 30), (2, 5, 40), (120, 240), (5, 10, 20, 40, 80))
+    passes = _record_packed_passes(monkeypatch)
+    for m in range(2, 17):
+        verify.sweep(m)
+    for s in chains:
+        peak_polynomial(s)
+    tops = [*range(2, 17), *(s[-1] for s in chains)]
+    assert len(passes) == len(tops)
+    for top, (width, entries) in zip(tops, passes):
+        sets = [t for t, _ in entries]
         bound = engine._limb_bound(_sizes(sets))
         assert bound >= max(max(b) for b in _reference_limb_bounds(sets).values()), sets[-1]
-        width = (bound.bit_length() // 64 + 1) * 64
-        for t, packed in _walked(path, top, width):
-            assert all(bound > c for c in engine._limbs(packed, width)), t
+        assert width == (bound.bit_length() // 64 + 1) * 64, sets[-1]
+        for t, packed in entries:
+            limbs = engine._unpack(packed.to_bytes(top * width // 8, "little"), width)
+            assert all(bound > c for c in limbs), t
 
 
 def test_the_limb_bound_is_pinned_on_deep_chains_and_a_sweep(monkeypatch):
@@ -474,11 +491,14 @@ def test_the_limb_bound_is_pinned_on_deep_chains_and_a_sweep(monkeypatch):
             "689498851626901649790686964900295413"),
         (5, 10, 20, 40, 80): 122841689806616064552398630633976846789674370735825566011511563728,
     }
+    passes = _record_packed_passes(monkeypatch)
     for s, bound in pinned.items():
         given.clear()
+        passes.clear()
         peak_polynomial(s)
         ((sizes, given_bound),) = given
-        assert {m: set(ks) for m, ks in sizes.items()} == _sizes(t for t, _ in _walked(s, s[-1]))
+        ((_, chain),) = passes
+        assert {m: set(ks) for m, ks in sizes.items()} == _sizes(t for t, _ in chain)
         assert given_bound == bound, s
     given.clear()
     verify.sweep(20)
@@ -512,17 +532,19 @@ def test_the_three_term_step_packs_what_the_paper_recursion_packs():
     sets = structurally_admissible_sets(22)
     width = (engine._limb_bound(_sizes(sets)).bit_length() // 64 + 1) * 64
     assert width == 128
-    walked = _walked((), 22, width)
+    walked = _walked((22,) * 11, width)
     assert walked == sorted(_pivot_packed(sets, width))
     high = sum(1 << width - 1 << j * width for j in range(22))
     assert not any(packed < 0 or packed & high for _, packed in walked)
 
 
-def test_the_chain_is_the_closure_under_the_three_term_step():
-    # the sets that the walk of S's path visits are S closed under
-    # t -> (t minus max t, that set plus max t - 1), with () and the
-    # inadmissible sets left out: at most max(S) - 1 sets, in increasing
-    # maximum, S last
+def test_the_chain_is_the_closure_under_the_three_term_step(monkeypatch):
+    # the sets that peak_polynomial's walk, bounded by S, is handed are S
+    # closed under t -> (t minus max t, that set plus max t - 1), with ()
+    # and the inadmissible sets left out: its visit passes over the subtree
+    # of each set off the path to S.  At most max(S) - 1 sets, in
+    # increasing maximum, S last
+    passes = _record_packed_passes(monkeypatch)
     for s in structurally_admissible_sets(14) + [(5, 10, 20, 40, 80), (2, 4, 6, 30)]:
         closure, pending = set(), [s]
         while pending:
@@ -530,7 +552,10 @@ def test_the_chain_is_the_closure_under_the_three_term_step():
             if t and is_structurally_admissible(t) and t not in closure:
                 closure.add(t)
                 pending += [t[:-1], t[:-1] + (t[-1] - 1,)]
-        chain = [t for t, _ in _walked(s, s[-1])]
+        passes.clear()
+        peak_polynomial(s)
+        ((_, entries),) = passes
+        chain = [t for t, _ in entries]
         assert sorted(chain) == sorted(closure) and len(chain) <= s[-1] - 1, s
         assert chain[-1] == s
         assert all(a[-1] < b[-1] for a, b in zip(chain, chain[1:])), s

@@ -566,9 +566,9 @@ def test_trips_across_processes_give_the_one_process_summary(plant_negative_limb
                          ids=["spoiled", "two-groups", "singleton", "three-trips"])
 def test_the_summary_does_not_depend_on_the_batch_size(monkeypatch, plant_coefficients,
                                                       plant_negative_limb, plants):
-    # a kept set's rank comes from the count of its maximum when its batch
-    # is tested, so batches cut anywhere, flushed at every root and at a
-    # trip, in one process or two, give the same summary
+    # a kept set is keyed by itself and only a trip by its rank, counted
+    # when it trips, so batches cut anywhere and tested once full or at the
+    # end, in one process or two, give the same summary
     import peakpoly.verify as verify
     if plants is None:
         plant_coefficients(_spoil)
@@ -586,8 +586,8 @@ def test_the_summary_does_not_depend_on_the_batch_size(monkeypatch, plant_coeffi
 def test_a_failing_set_just_after_a_trip_is_not_reported(monkeypatch, plant_coefficients,
                                                          plant_negative_limb):
     # (4, 6) follows (3, 6) in (max, lex) order, and its batch is tested
-    # after (3, 6) trips: its rank, read off the count of maximum 6, puts
-    # it past the trip, so its planted dip is never reported
+    # after (3, 6) trips: its row, keyed by its set, sorts past the trip's,
+    # so its planted dip is never reported
     import peakpoly.verify as verify
     sets = structurally_admissible_sets(8)
     assert sets.index((4, 6)) == sets.index((3, 6)) + 1
@@ -610,12 +610,12 @@ def test_after_a_trip_no_set_above_it_is_checked(monkeypatch, plant_negative_lim
     plant_negative_limb((3, 6), 1)
     walk, cleared, log = verify._walk, verify._batch_cleared, []
 
-    def recording(path, top, width, visit):
+    def recording(ends, width, visit):
         def record(t, entry):
             log.append(("handed", t))
             return visit(t, entry)
 
-        walk(path, top, width, record)
+        walk(ends, width, record)
 
     def checking(limbs, length, m, logconcavity):
         log.append(("checked", m))
@@ -675,9 +675,9 @@ def test_without_fork_the_workers_run_in_this_process(monkeypatch, fork):
         monkeypatch.setattr(os, "fork", refuse)
     walk, pids = verify._walk, []
 
-    def recording(path, top, width, visit):
+    def recording(ends, width, visit):
         pids.append(os.getpid())
-        walk(path, top, width, visit)
+        walk(ends, width, visit)
 
     monkeypatch.setattr(verify, "_walk", recording)
     assert _fields(sweep(12, workers=2)) == _fields(one)
@@ -714,12 +714,12 @@ def test_a_failed_worker_s_group_is_walked_here(monkeypatch, plant_coefficients,
     one = sweep(12)
     parent, walk, walks = os.getpid(), verify._walk, []
 
-    def walking(path, top, width, visit):
+    def walking(ends, width, visit):
         if os.getpid() == parent:
-            walks.append(top)
+            walks.append(ends)
         elif failure == "exit":
             os._exit(1)
-        walk(path, top, width, visit)
+        walk(ends, width, visit)
 
     monkeypatch.setattr(verify, "_walk", walking)
     if failure == "status":
@@ -741,11 +741,11 @@ def test_no_worker_outlives_a_sweep_that_raises(monkeypatch):
     import peakpoly.verify as verify
     walk, parent = verify._walk, os.getpid()
 
-    def failing(path, top, width, visit):
+    def failing(ends, width, visit):
         if os.getpid() == parent:
             raise RuntimeError("planted")
         time.sleep(60)
-        walk(path, top, width, visit)
+        walk(ends, width, visit)
 
     monkeypatch.setattr(verify, "_walk", failing)
     pids = _forks(monkeypatch)
@@ -789,14 +789,14 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     walk = engine._walk
     passes, steps = [], []
 
-    def counting(path, top, width, visit):
+    def counting(ends, width, visit):
         passes.append(width)
 
         def step(t, entry):
             steps.append(t)
             return visit(t, entry)
 
-        walk(path, top, width, step)
+        walk(ends, width, step)
 
     monkeypatch.setattr(engine, "_closure", refuse)
     monkeypatch.setattr(verify, "_walk", counting)
@@ -899,12 +899,12 @@ def test_a_trip_ends_the_sweep_in_max_lex_order_not_in_walk_order(monkeypatch,
     plant_negative_limb((2, 8), 1, ((5, 7), 1))
     walk, handed = verify._walk, []
 
-    def recording(path, top, width, visit):
+    def recording(ends, width, visit):
         def record(t, entry):
             handed.append(t)
             return visit(t, entry)
 
-        walk(path, top, width, record)
+        walk(ends, width, record)
 
     monkeypatch.setattr(verify, "_walk", recording)
     summary = sweep(8)
