@@ -6,20 +6,21 @@ peak set is exactly S factors as
     count(S, n) = p_S(n) * 2^(n - |S| - 1)
 
 where p_S is an integer-valued polynomial of degree max(S) - 1, the peak
-polynomial of S.  This module builds p_S exactly, in the binomial basis
-centred at m = max(S), by the alternating-sum recursion of Billey, Burdzy
-and Sagan, from at most m - 1 smaller sets (see _walk).  The recursion on
-derived sets (lowering or omitting one element of S yields 2|S| smaller
-sets) drives the count recursion on n and the insertion cases.  So counts
-come three independent ways, the closed formula above, that recursion and
-the exhaustive oracle, and each route can cross-check the others.
+polynomial of S, held as its coefficients in the binomial basis centred
+at m = max(S).  Two theorems build it, and each count route runs one:
+the formula route the alternating three-term recursion of Billey, Burdzy
+and Sagan, from at most m - 1 smaller sets (see _walk); the recursion
+route the subtraction-free recursion over derived sets (lowering or
+omitting one element of S), on coefficient vectors (see
+_recursion_coefficients).  With the exhaustive oracle, counts come three
+independent ways, and each route can cross-check the others.
 """
 
 import itertools
 import struct
 from collections import namedtuple
 from collections.abc import Callable, Collection, Iterable, Iterator
-from operator import add, itemgetter, lshift, mul, or_
+from operator import add, lshift, mul, or_
 
 from peakpoly.intpoly import BinomialPolynomial, _trimmed
 from peakpoly.perms import (
@@ -84,33 +85,27 @@ def peak_polynomial(positions: Iterable[int]) -> BinomialPolynomial:
     return BinomialPolynomial(s[-1] if s else 0, _peak_coefficients(s))
 
 
-def _closure(s: PeakSet) -> tuple[list[int], list[itemgetter]]:
-    """The closure of s under derived sets, as the count recursion's index
-    table: the maximum of each set (0 for ()), in increasing order, so ()
-    is first and s last, and for each set one getter over those positions
-    that reads its terms, t itself and each admissible lowered set twice
-    (weight 2), each omitted set once.  So every getter has at least two
-    indices and returns a tuple, whose sum is the set's next count.
-
-    s must be canonical and admissible; the walk keeps an explicit stack,
-    and the sets themselves are dropped once the table is built.
-    """
-    terms: dict[PeakSet, list[PeakSet]] = {}
+def _closure(s: PeakSet) -> list[tuple[PeakSet, list[PeakSet]]]:
+    """The closure of s under derived sets, in increasing maximum, so ()
+    first and s last, each set with its terms: each admissible lowered set
+    once and each omitted set once, the lists sharing one copy of each
+    set.  s must be canonical and admissible; the walk keeps an explicit
+    stack."""
+    closure: list[tuple[PeakSet, list[PeakSet]]] = []
+    found = {s: s}
     pending = [s]
     while pending:
         t = pending.pop()
-        if t in terms:
-            continue
-        parts = terms[t] = [t, t]
+        parts: list[PeakSet] = []
+        closure.append((t, parts))
         for _, lowered, lowered_admissible, omitted in _slides(t):
-            if lowered_admissible:
-                parts += (lowered, lowered)
-            parts.append(omitted)
-        pending += parts
-    order = sorted(terms, key=lambda t: t[-1] if t else 0)
-    index = {t: i for i, t in enumerate(order)}
-    return ([t[-1] if t else 0 for t in order],
-            [itemgetter(*map(index.__getitem__, terms[t])) for t in order])
+            for u in (lowered, omitted) if lowered_admissible else (omitted,):
+                if u not in found:
+                    found[u] = u
+                    pending.append(u)
+                parts.append(found[u])
+    closure.sort(key=lambda item: item[0][-1] if item[0] else 0)
+    return closure
 
 
 class NegativeCoefficientError(ArithmeticError):
@@ -300,35 +295,51 @@ def count_via_formula(positions: Iterable[int], n: int) -> int:
     return poly.evaluate(n) * 2 ** (n - len(s) - 1)
 
 
-def _recursion_counts(s: PeakSet) -> Iterator[int]:
-    """count(s, q) for q = 1, 2, ... for a canonical s (0 if inadmissible).
+def _recursion_coefficients(s: PeakSet) -> list[int]:
+    """p_s at centre m = max(s), untrimmed, for a canonical, admissible s,
+    by the subtraction-free recursion: Delta p_t = the sum of p_T over t's
+    terms T (see _closure), so c_0 = 0 and c_j is the sum of the T's
+    c_(j-1) at centre m; [1] for ().  The sets are built in increasing
+    maximum, every held vector a Pascal step on per unit of maximum, and
+    a vector is dropped after its last reader."""
+    closure = _closure(s)
+    last = {u: i for i, (_, parts) in enumerate(closure) for u in parts}
+    vectors: dict[PeakSet, list[int]] = {(): [1]}  # closure[0] is ()
+    centre = 0
+    for i, (t, parts) in enumerate(closure[1:], 1):
+        m = t[-1]
+        for _ in range(centre, m):
+            for v in vectors.values():
+                v[:-1] = map(add, v, v[1:])
+        centre = m
+        total = [0] * (m - 1)
+        for v in map(vectors.__getitem__, parts):
+            total[:len(v)] = map(add, total, v)
+        vectors[t] = [0, *total]
+        for u in parts:
+            if last[u] == i:
+                del vectors[u]
+    return vectors[s]
 
-    count(t, q) = 2 count(t, q-1) + the sum over derived pairs of
-    2 count(lowered, q-1) + count(omitted, q-1) when max(t) < q, else 0,
-    over the closure of s under derived sets, one length at a time.  The
-    counts of one length are a list in _closure's order; the sets with
-    max < q, the first `active`, each sum their getter's reads of the
-    previous list, one C-level pass per length, and the rest stay 0.
-    """
+
+def _recursion_counts(s: PeakSet) -> Iterator[int]:
+    """count(s, q) for q = 1, 2, ... for a canonical s (0 if inadmissible):
+    0 for q <= max(s), then p_s(q) 2^(q - |s| - 1), p_s moved a Pascal step
+    per length, so its c_0 is p_s(q)."""
     if _violation(s) is not None:
         yield from itertools.repeat(0)  # never returns
-    tops, getters = _closure(s)
-    size, active = len(tops), 0
-    counts = [1] + [0] * (size - 1)  # length 1: only () is counted
-    for q in itertools.count(2):
-        yield counts[-1]
-        while active < size and tops[active] < q:
-            active += 1
-        counts = [sum(g(counts)) for g in getters[:active]] + [0] * (size - active)
+    m = s[-1] if s else 0
+    yield from itertools.repeat(0, m)
+    v = _recursion_coefficients(s)
+    for q in itertools.count(m + 1):
+        v[:-1] = map(add, v, v[1:])
+        yield v[0] << (q - len(s) - 1)
 
 
 def count_via_recursion(positions: Iterable[int], n: int) -> int:
-    """The same count as count_via_formula, by the recursion on length.
-
-    Each step trades length q for length q-1 over the derived sets;
-    inadmissibility at the current length is the base case.  Runs bottom-up
-    from length 1 and keeps one length's counts, so n sets no depth limit.
-    """
+    """The same count as count_via_formula, by the paper's subtraction-free
+    recursion over derived sets, run bottom-up on coefficient vectors (see
+    _recursion_coefficients), so n sets no depth limit."""
     s = as_peak_set(positions)
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -7,7 +7,7 @@ from decimal import Decimal
 from peakpoly.cli import main
 from peakpoly.engine import count_via_formula
 from peakpoly.intpoly import BinomialPolynomial
-from peakpoly.verify import verify_counts
+from peakpoly.verify import verify_counts, verify_set
 
 GOLDEN_TABLE_CSV = """\
 j\\k,0,1,2,3,4,5,6
@@ -177,6 +177,33 @@ def test_counts_check_catches_an_off_by_one_oracle(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "count", "--set", "4,6", "--n", "9", "--method", "all")
     assert code == 3
     assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+
+
+def test_counts_check_catches_a_dropped_derived_term(capsys, monkeypatch):
+    # drop one term of S's own list in the down-closure: the recursion
+    # route then counts wrong, and the counts check names the first length
+    # where formula and recursion differ, and exits 3
+    import peakpoly.engine as engine
+    s, n_max = (4, 6, 9), 14
+    closure = engine._closure
+
+    def dropping(t):
+        sets = closure(t)
+        last, terms = sets[-1]
+        assert last == t
+        terms.pop()
+        return sets
+
+    monkeypatch.setattr(engine, "_closure", dropping)
+    first = next(n for n in range(s[-1] + 1, n_max + 1)
+                 if engine.count_via_recursion(s, n) != count_via_formula(s, n))
+    report = verify_set(s, ("counts",), n_max=n_max)
+    assert [(c.name, c.passed, c.witness) for c in report.checks] == [("counts", False, first)]
+
+    code, out, _ = run_cli(capsys, "verify", "--set", "4,6,9", "--checks", "counts",
+                           "--n-max", str(n_max))
+    assert code == 3
+    assert f"counts: FAIL (witness={first})" in out
 
 
 def test_log_concavity_check_catches_a_planted_dip(capsys, plant_coefficients):

@@ -562,8 +562,8 @@ def test_the_chain_is_the_closure_under_the_three_term_step(monkeypatch):
 
 
 def _reference_recursion_counts(s):
-    # the count recursion stepped over dicts keyed by set, one generator
-    # sum per set per length: the step that the index table replaced
+    # the count recursion on lengths, stepped over dicts keyed by set, one
+    # generator sum per set per length
     if _violation(s) is not None:
         yield from itertools.repeat(0)
     import peakpoly.engine as engine
@@ -584,7 +584,7 @@ def _reference_recursion_counts(s):
                   for t, terms in closure.items()}
 
 
-def test_the_index_table_steps_what_the_dict_recursion_steps():
+def test_the_coefficient_recursion_counts_what_the_dict_recursion_counts():
     # lengths 1..40 on (), every admissible set with max <= 10, and
     # inadmissible sets, whose columns are all zeros
     import peakpoly.engine as engine
@@ -593,6 +593,35 @@ def test_the_index_table_steps_what_the_dict_recursion_steps():
         column = list(itertools.islice(engine._recursion_counts(s), 40))
         assert column == list(itertools.islice(_reference_recursion_counts(s), 40)), s
         assert any(column) == (s not in inadmissible), s
+
+
+def test_the_paper_recursion_builds_the_three_term_coefficients():
+    # the subtraction-free recursion over derived sets gives exactly the
+    # coefficients that the Billey-Burdzy-Sagan walk builds, with c_0 = 0
+    # and every c_j > 0, 1 <= j <= m - 1: the paper's positivity, executed
+    import peakpoly.engine as engine
+    assert engine._recursion_coefficients(()) == [1]
+    for s in structurally_admissible_sets(14) + [(40, 80), (3, 9, 30)]:
+        coeffs = engine._recursion_coefficients(s)
+        assert tuple(coeffs) == engine._peak_coefficients(s), s
+        assert len(coeffs) == s[-1] and coeffs[0] == 0 and min(coeffs[1:]) > 0, s
+
+
+def test_the_recursion_route_shares_no_build_code_with_the_formula_route(monkeypatch):
+    # the counts check compares two theorems only if the recursion route
+    # runs none of the formula route's build
+    import peakpoly.engine as engine
+    import peakpoly.intpoly as intpoly
+    cases = [((), 7), ((2,), 5), ((4, 6), 30), ((3, 9, 30), 31), ((2, 5, 8, 10), 1000)]
+    expected = [count_via_formula(s, n) for s, n in cases]
+
+    def refuse(*args):
+        raise AssertionError("the recursion route ran the formula route's build")
+
+    for name in ("_walk", "_packing", "_peak_coefficients"):
+        monkeypatch.setattr(engine, name, refuse)
+    monkeypatch.setattr(intpoly, "_shift_center", refuse)
+    assert [count_via_recursion(s, n) for s, n in cases] == expected
 
 
 def test_the_recursion_switches_a_set_on_past_its_maximum():
