@@ -9,18 +9,18 @@ where p_S is an integer-valued polynomial of degree max(S) - 1, the peak
 polynomial of S, held as its coefficients in the binomial basis centred
 at m = max(S).  Two theorems build it, and each count route runs one:
 the formula route the alternating three-term recursion of Billey, Burdzy
-and Sagan, from at most m - 1 smaller sets (see _walk); the recursion
-route the subtraction-free recursion over derived sets (lowering or
-omitting one element of S), on coefficient vectors (see
-_recursion_coefficients).  With the exhaustive oracle, counts come three
-independent ways, and each route can cross-check the others.
+and Sagan, from at most m - 1 smaller sets (see _chain; _walk for the
+sweep); the recursion route the subtraction-free recursion over derived
+sets (lowering or omitting one element of S), on coefficient vectors
+(see _recursion_coefficients).  With the exhaustive oracle, counts come
+three independent ways, and each route can cross-check the others.
 """
 
 import itertools
 import struct
 from collections import namedtuple
-from collections.abc import Callable, Collection, Iterable, Iterator
-from operator import add, lshift, mul, or_
+from collections.abc import Callable, Iterable, Iterator
+from operator import add, lshift, mul, or_, sub
 
 from peakpoly.intpoly import BinomialPolynomial, _trimmed
 from peakpoly.perms import (
@@ -78,8 +78,9 @@ def peak_polynomial(positions: Iterable[int]) -> BinomialPolynomial:
     """The peak polynomial of a structurally admissible (or empty) peak set.
 
     Returned centred at max(S) with constant coefficient 0; the empty set
-    gives the constant 1.  Each call builds the chain of S afresh, at most
-    max(S) - 1 sets, and keeps nothing once it returns.
+    gives the constant 1.  Each call builds the chain of S afresh on
+    coefficient lists, at most max(S) - 1 sets, and keeps nothing once it
+    returns.
     """
     s = _admissible(positions)
     return BinomialPolynomial(s[-1] if s else 0, _peak_coefficients(s))
@@ -115,46 +116,54 @@ class NegativeCoefficientError(ArithmeticError):
 def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
     """Coefficients of p_s at centre max(s), trimmed of trailing zeros (so
     the degree check can see a short result), for a canonical s; (1,) for
-    () and () for an inadmissible s, whose p is 0 (see _walk).  Built
-    from its chain, each (s_1, ..., s_(i-1), j) with s_(i-1) + 2 <= j <=
-    s_i (s_0 = 0): the walk bounded by s, whose visit passes over the
-    subtree of each set off the path to s, unless a set on it trips."""
+    () and () for an inadmissible s, whose p is 0.  Built along the chain
+    of s (see _chain); a set below s with some c_j < 0 raises, and s is
+    returned as built."""
     if not s:
         return (1,)
     if _violation(s) is not None:
         return ()
-    width, high = _packing(s, s[-1])
-    size = high.bit_length() // 8  # the bytes of s[-1] limbs, which hold s's entry
-    handed = []  # s, or the set that tripped below it
-
-    def visit(t: PeakSet, entry: int) -> object:
-        tripped = entry < 0 or entry & high != 0
-        if tripped:
-            handed.append((t, _signed(entry, width, high)))
-        elif t == s:
-            handed.append((t, _trimmed(_unpack(entry.to_bytes(size, "little"), width))))
-        return tripped or t[-1] != s[len(t) - 1] and _SKIP
-
-    _walk(s, width, visit)
-    ((t, coeffs),) = handed
-    if t != s:
-        j = next(j for j, c in enumerate(coeffs) if c < 0)
-        raise NegativeCoefficientError(f"p_S for S = {{{','.join(map(str, t))}}} has c_{j} = "
-                                       f"{coeffs[j]} < 0; {{{','.join(map(str, s))}}} is not built")
-    return coeffs
+    for t, coeffs in _chain(s):
+        if min(coeffs) < 0 and t != s:
+            j = next(j for j, c in enumerate(coeffs) if c < 0)
+            raise NegativeCoefficientError(f"p_S for S = {{{','.join(map(str, t))}}} has c_{j} = "
+                                           f"{coeffs[j]} < 0; {{{','.join(map(str, s))}}} is not built")
+    return _trimmed(coeffs)
 
 
-def _packing(path: PeakSet, top: int) -> tuple[int, int]:
-    """(W, high) for a walk at width W: a sweep to top if path is (), else
-    the chain of path (top = max(path)): W the least multiple of
-    64 with _limb_bound < 2^(W-1) over the walk's (maximum, size) classes,
-    high 2^(W-1) in each of top limbs, as many as any entry has.  An entry
-    trips, some c_j < 0, exactly when it is < 0 or has a bit of high set
-    (see _walk); _signed reads its coefficients."""
-    sizes = {} if path else {m: range(1, m // 2 + 1) for m in range(2, top + 1)}
-    for i, (a, b) in enumerate(zip((0,) + path, path), 1):  # the chain's classes
-        sizes.update(dict.fromkeys(range(a + 2, b + 1), (i,)))
-    width = (_limb_bound(sizes).bit_length() // 64 + 1) * 64
+def _chain(s: PeakSet) -> Iterator[tuple[PeakSet, list[int]]]:
+    """(t, p_t at centre m = max(t), m coefficients) for each t of the chain
+    of a canonical, admissible s, the sets (s_1, ..., s_(i-1), m) with
+    s_(i-1) + 2 <= m <= s_i (s_0 = 0), in increasing m, s last.  With
+    t1 = t minus m, t's parent, and t2 = t1 + (m - 1), its previous
+    sibling (inadmissible, p = 0, for the first child),
+
+        p_t(x) = p_t1(m - 1) C(x, m - 1) - 2 p_t1(x) - p_t2(x)
+
+    (Billey, Burdzy and Sagan): a is t1's list, a Pascal step on per child,
+    at centre m - 1; b t2's; row C(m, j + 1).  With x = 2a + b,
+    c_j = a_0 row_j - x_j - x_(j+1).  No list is changed once yielded."""
+    a, row, u = [1], [1], ()  # p_() at centre 0; C(1, j + 1)
+    for end in s:
+        b = [0] * len(a)
+        for m in range(u[-1] + 2 if u else 2, end + 1):
+            a = [*map(add, a, a[1:]), a[-1]]
+            while len(row) < m:
+                row = [*map(add, row, [1] + row), 1]
+            x = [*map(add, map(add, a, a), b), *b[len(a):]]
+            x += [0] * (m + 1 - len(x))
+            scaled = row if a[0] == 1 else map(mul, row, itertools.repeat(a[0]))
+            b = [*map(sub, map(sub, scaled, x), x[1:])]
+            yield u + (m,), b
+        a, u = b, u + (end,)
+
+
+def _packing(top: int) -> tuple[int, int]:
+    """(W, high) for the sweep to top: W the least multiple of 64 with
+    _limb_bound(top) < 2^(W-1), high 2^(W-1) in each of top limbs.  An
+    entry trips, some c_j < 0, exactly when it is < 0 or has a bit of high
+    set (see _walk); _signed reads its coefficients."""
+    width = (_limb_bound(top).bit_length() // 64 + 1) * 64
     return width, ((1 << top * width) - 1) // ((1 << width) - 1) << (width - 1)
 
 
@@ -167,37 +176,33 @@ def _signed(entry: int, width: int, high: int) -> tuple[int, ...]:
     return _trimmed([c - half for c in _unpack(data, width)])
 
 
-def _limb_bound(sizes: dict[int, Collection[int]]) -> int:
-    """The largest beta_(m, k)[j], a bound on |c_j| over the sets of the
-    class of maximum m and size k (the classes: sizes by maximum), with no
-    sign assumed.  g_k' bounds each set of size k' and maximum <= m - 2 at
-    centre m - 1, from g_0 = [1]; at each level it takes in beta_(m-2, k')
-    and moves a Pascal step, P(v)[j] = v[j] + v[j + 1].  By the step,
-    beta_(m, k)[j] = g_(k-1)[0] C(m, j + 1) + P(x)[j], x = 2 g_(k-1) +
-    beta_(m-1, k) (0 if not built) bounding _walk's x.  As P(v) >= v,
-    beta_(m, k) covers x and the stepped parents, and beta_(m+1, k) covers it."""
-    read = {k - 1 for ks in sizes.values() for k in ks}  # g only for these
+def _limb_bound(top: int) -> int:
+    """The largest beta_(top, k)[j], a bound on |c_j| over the sets of
+    maximum <= top, with no sign assumed; beta_(m, k) bounds the class of
+    maximum m and size k.  g_k' bounds each set of size k' and maximum
+    <= m - 2 at centre m - 1, from g_0 = [1]; at each level it takes in
+    beta_(m-2, k') and moves a Pascal step, P(v)[j] = v[j] + v[j + 1].  By
+    the step, beta_(m, k)[j] = g_(k-1)[0] C(m, j + 1) + P(x)[j], x =
+    2 g_(k-1) + beta_(m-1, k) (0 if there is no such class) bounding
+    _walk's x.  As P(v) >= v, beta_(m, k) covers x and the stepped parents,
+    and beta_(m+1, k) covers it, so the classes at top cover every set."""
     g = {0: [1]}
     beta: dict[int, dict[int, list[int]]] = {}  # by maximum m - 2..m, then size
     row = [1]  # C(m, j + 1) for j = 0..m - 1
-    largest = 0
-    for m in range(2, max(sizes) + 1):
+    for m in range(2, top + 1):
         row = [*map(add, row, [1] + row), 1]
         for k, b in beta.pop(m - 2, {}).items():
-            if k in read:
-                v = g.get(k, [])
-                g[k] = [*map(max, v, b), *v[len(b):], *b[len(v):]]
+            v = g.get(k, [])
+            g[k] = [*map(max, v, b), *v[len(b):], *b[len(v):]]
         g = {k: [*map(add, v, v[1:]), v[-1]] for k, v in g.items()}
         below, level = beta.get(m - 1, {}), beta.setdefault(m, {})
-        for k in sizes.get(m, ()):
+        for k in range(1, m // 2 + 1):
             v, b = g[k - 1], below.get(k, [])
             x = [*map(add, map(add, v, v), b), *map(add, v[len(b):], v[len(b):]), *b[len(v):]]
             x += [0] * (m + 1 - len(x))
             scaled = row if v[0] == 1 else map(mul, row, itertools.repeat(v[0]))  # 1 for size 1
-            b = level[k] = list(map(add, map(add, scaled, x), x[1:]))
-            if k not in sizes.get(m + 1, ()):
-                largest = max(largest, *b)
-    return largest
+            level[k] = list(map(add, map(add, scaled, x), x[1:]))
+    return max(max(b) for b in beta[top].values())
 
 
 # what a visit returns to have _walk pass over the subtree of the set it
@@ -209,20 +214,14 @@ def _walk(ends: PeakSet, width: int, visit: Callable[[PeakSet, int], object]) ->
     """visit(t, p_t packed into one int) for each admissible t of at most
     len(ends) elements with t[i] <= ends[i], depth first over the prefix
     tree of admissible sets, children in increasing last element: in
-    lexicographic order.  A visit that returns _SKIP passes over t's
-    subtree; any other true one prunes t's subtree and its later siblings,
-    the sets built from t.  With m = max(t), t1 = t minus m and
-    t2 = t1 + (m - 1),
-
-        p_t(x) = p_t1(m - 1) C(x, m - 1) - 2 p_t1(x) - p_t2(x),
-
-    p_() = 1 and p of an inadmissible set 0 (Billey, Burdzy and Sagan).
-    Limb j, width bits wide, holds c_j at centre m.  t1 is t's
-    parent u and t2 its previous sibling, so u's frame holds what a step
-    reads: u's entry a, a Pascal step on per child (a + (a >> width)), at
-    centre m - 1; b, the previous sibling's (0 when t2 is inadmissible);
-    ROW, C(x, m - 1) at centre m (limb j C(m, j + 1)), one step on per
-    child.  The step is x = 2a + b, P = (a & MASK) ROW - x - (x >> width).
+    lexicographic order: the sweep's build.  A visit that returns _SKIP
+    passes over t's subtree; any other true one prunes t's subtree and its
+    later siblings, the sets built from t.  Limb j, width bits wide, holds
+    c_j at centre m = max(t), by _chain's step: the frame of t's parent u
+    holds u's entry a, a Pascal step on per child (a + (a >> width)); b,
+    the previous sibling's (0 for the first child); ROW, limb j
+    C(m, j + 1), one step on per child.  The step is x = 2a + b,
+    P = (a & MASK) ROW - x - (x >> width).
 
     No step carries: a and b did not trip (or t would be pruned), so are
     exact with limbs in [0, 2^(width-1)), and the stepped a and x add

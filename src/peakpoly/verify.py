@@ -422,7 +422,7 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         raise ValueError(f"k_extra must be >= 0, got {k_extra}")
 
     logconcavity = "logconcavity" in names
-    width, high = _packing((), m_max)
+    width, high = _packing(m_max)
 
     def walk(group: list[int]) -> tuple[dict, list]:
         # visited sets by root, then maximum; kept rows (max, set, its rank

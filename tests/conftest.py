@@ -35,14 +35,14 @@ def plant_coefficients(monkeypatch):
 
 @pytest.fixture
 def plant_negative_limb(monkeypatch):
-    """plant(target, j, *more): the packed entry of the set target is
-    handed on with c_j = -1, as a wrong build step would make it, to the
-    test of its sign that every entry passes before it is unpacked, in a
-    sweep or a single set's build; more holds further (target, j) pairs.
-    Each call replaces the last one's."""
+    """plant(target, j, *more): the set target is handed on with c_j = -1,
+    as a wrong build step would make it, to the test of its sign that
+    every set passes: in a sweep its packed entry, before it is unpacked;
+    in a single set's build its list, as the chain yields it.  more holds
+    further (target, j) pairs.  Each call replaces the last one's."""
     import peakpoly.engine as engine
     import peakpoly.verify as verify
-    walk = engine._walk
+    walk, chain = engine._walk, engine._chain
 
     def plant(target, j, *more):
         targets = dict([(target, j), *more])
@@ -56,7 +56,13 @@ def plant_negative_limb(monkeypatch):
 
             walk(ends, width, planted)
 
-        for module in (engine, verify):
-            monkeypatch.setattr(module, "_walk", planting)
+        def planted_chain(s):
+            for t, coeffs in chain(s):
+                if t in targets:
+                    coeffs = [-1 if i == targets[t] else c for i, c in enumerate(coeffs)]
+                yield t, coeffs
+
+        monkeypatch.setattr(verify, "_walk", planting)
+        monkeypatch.setattr(engine, "_chain", planted_chain)
 
     return plant

@@ -256,16 +256,11 @@ def test_deep_set_builds_without_recursion():
     assert count_via_formula((1200,), 1201) == count_via_recursion((1200,), 1201)
 
 
-def test_a_chain_build_keeps_a_few_entries_not_all(monkeypatch):
-    # {k} is read by {k + 1} only, so the walk of {600}'s chain holds one
-    # frame, {k}'s entry and the row; keeping all 599 entries, each of up
-    # to 600 limbs, takes ~19 MB.  The limb bound of its classes (maximum
-    # k, size 1) is computed untraced: its many small lists make up most
-    # of the traced time, and none is alive once the build starts
+def test_a_chain_build_keeps_a_few_entries_not_all():
+    # {k} is read by {k + 1} only, so the chain of {600} holds {k}'s list,
+    # the one stepped from it and the row (0.24 MB traced); keeping all 599
+    # lists, each of up to 600 coefficients, takes ~13 MB
     import tracemalloc
-    import peakpoly.engine as engine
-    bound = engine._limb_bound(dict.fromkeys(range(2, 601), (1,)))
-    monkeypatch.setattr(engine, "_limb_bound", lambda sizes: bound)
     tracemalloc.start()
     try:
         peak_polynomial((600,))
@@ -277,9 +272,8 @@ def test_a_chain_build_keeps_a_few_entries_not_all(monkeypatch):
 
 def test_counts_match_for_larger_n_without_enumeration():
     # the two non-enumerative routes must agree far beyond the scan cap;
-    # the formula packs (40, 80) into 192-bit limbs, and the recursion
-    # shares no packing; the closure of (2, 4, ..., 16) has 256 sets, of
-    # up to 8 elements
+    # (40, 80)'s coefficients reach 151 bits, and the closure of
+    # (2, 4, ..., 16) has 256 sets, of up to 8 elements
     cases = [(s, (12, 17, 25)) for s in ((2,), (4, 6), (2, 5, 9))]
     for s, ns in cases + [((40, 80), range(81, 86)), (tuple(range(2, 17, 2)), range(17, 31))]:
         for n in ns:
@@ -316,10 +310,8 @@ def _packed_singleton(k, width):
 
 
 def _record_packed_passes(monkeypatch):
-    # wrap the walk of single sets and sweeps so each build's (width,
-    # entries) is recorded
-    import peakpoly.engine as engine
-    walk, passes = engine._walk, []
+    # wrap the sweep's walk so each walk's (width, entries) is recorded
+    walk, passes = verify._walk, []
 
     def recording(ends, width, visit):
         entries = []
@@ -331,9 +323,24 @@ def _record_packed_passes(monkeypatch):
 
         walk(ends, width, keep)
 
-    for module in (engine, verify):
-        monkeypatch.setattr(module, "_walk", recording)
+    monkeypatch.setattr(verify, "_walk", recording)
     return passes
+
+
+def _record_chains(monkeypatch):
+    # wrap the list chain of single sets so each build's (set,
+    # coefficients) pairs are recorded
+    import peakpoly.engine as engine
+    chain, chains = engine._chain, []
+
+    def recording(s):
+        chains.append([])
+        for t, coeffs in chain(s):
+            chains[-1].append((t, tuple(coeffs)))
+            yield t, coeffs
+
+    monkeypatch.setattr(engine, "_chain", recording)
+    return chains
 
 
 def _walked(ends, width=64):
@@ -365,36 +372,33 @@ def _sizes(sets):
 
 
 def test_a_build_packs_once_at_the_width_of_the_limb_bound(monkeypatch):
-    # the width comes from a bound proved before the build, so each build
+    # the width comes from a bound proved before the sweep, so each sweep
     # is one walk of the packed entries, at the least multiple of 64 bits
-    # above the bound
-    passes = _record_packed_passes(monkeypatch)
-    # p_{k}(n) = C(n - 1, k - 1) - 1, and the chain's bound has 201 bits
+    # above the bound; a single set is built on lists
+    chains = _record_chains(monkeypatch)
+    # p_{k}(n) = C(n - 1, k - 1) - 1, so c_j = C(k - 1, j) for j >= 1
     p = peak_polynomial((200,))
     assert p.degree == 199
     assert all(p.evaluate(n) == math.comb(n - 1, 199) - 1 for n in range(200, 400))
-    ((width, entries),) = passes
-    assert width == 256
-    assert [t for t, _ in entries] == [(j,) for j in range(2, 201)]
-    assert all(entry == _packed_singleton(j, width) for (j,), entry in entries)
+    (chain,) = chains
+    assert [t for t, _ in chain] == [(j,) for j in range(2, 201)]
+    assert all(coeffs == (0, *(math.comb(j - 1, i) for i in range(1, j)))
+               for (j,), coeffs in chain)
 
-    for s, width in (((1200,), 1216), ((40, 80), 192)):
-        passes.clear()
-        peak_polynomial(s)
-        assert [w for w, _ in passes] == [width], s
-
-    passes.clear()
-    assert verify.sweep(21).failures == ()
-    assert [w for w, _ in passes] == [128]
-
-
-def test_a_deep_pair_packs_once_with_the_coefficients_of_a_wider_build(monkeypatch):
-    # {120, 240}'s bound is 475 bits, so it packs once at 512; its coefficients
-    # equal the ones that builds at 640 and at 832 bits gave
-    import hashlib
     passes = _record_packed_passes(monkeypatch)
+    assert verify.sweep(21).failures == ()
+    ((width, entries),) = passes
+    assert width == 128
+    singletons = [(t, entry) for t, entry in entries if len(t) == 1]
+    assert [t for t, _ in singletons] == [(j,) for j in range(2, 22)]
+    assert all(entry == _packed_singleton(j, width) for (j,), entry in singletons)
+
+
+def test_a_deep_pair_has_the_coefficients_of_the_packed_builds():
+    # {120, 240}'s coefficients equal the ones that packed builds at 512,
+    # 640 and 832 bits gave
+    import hashlib
     p = peak_polynomial((120, 240))
-    assert [w for w, _ in passes] == [512]
     assert p.degree == 239 and p.evaluate(240) == 0
     digest = hashlib.sha256(",".join(map(str, p.coeffs)).encode()).hexdigest()
     assert digest == "fcdfc052a2d6e356198f0eb441a79e02001956001e17dbb35b694d432abda2eb"
@@ -441,70 +445,39 @@ def _reference_limb_bounds(sets):
 
 
 def test_the_limb_bound_covers_every_coefficient_with_no_sign_assumed(monkeypatch):
-    # the width is never checked again once chosen, so the bound by
-    # (maximum, size) class must be at least the bound set by set, and
-    # above |c_j| of every set built: every set of a sweep, and every set
-    # of a chain, where only its last is handed out
+    # the width is never checked again once chosen, so the bound over the
+    # classes of a sweep to top (maximum m <= top, size k <= m // 2) must
+    # be at least the bound set by set, and above |c_j| of every set built
     import peakpoly.engine as engine
-    chains = ((40, 80), (3, 9, 30), (2, 5, 40), (120, 240), (5, 10, 20, 40, 80))
     passes = _record_packed_passes(monkeypatch)
     for m in range(2, 17):
         verify.sweep(m)
-    for s in chains:
-        peak_polynomial(s)
-    tops = [*range(2, 17), *(s[-1] for s in chains)]
-    assert len(passes) == len(tops)
-    for top, (width, entries) in zip(tops, passes):
+    assert len(passes) == 15
+    for top, (width, entries) in enumerate(passes, 2):
         sets = [t for t, _ in entries]
-        bound = engine._limb_bound(_sizes(sets))
-        assert bound >= max(max(b) for b in _reference_limb_bounds(sets).values()), sets[-1]
-        assert width == (bound.bit_length() // 64 + 1) * 64, sets[-1]
+        assert _sizes(sets) == {m: set(range(1, m // 2 + 1)) for m in range(2, top + 1)}
+        bound = engine._limb_bound(top)
+        assert bound >= max(max(b) for b in _reference_limb_bounds(sets).values()), top
+        assert width == (bound.bit_length() // 64 + 1) * 64, top
         for t, packed in entries:
             limbs = engine._unpack(packed.to_bytes(top * width // 8, "little"), width)
             assert all(bound > c for c in limbs), t
 
 
-def test_the_limb_bound_is_pinned_on_deep_chains_and_a_sweep(monkeypatch):
-    # values of the bound when every class, size 1 too, scaled the binomial
-    # row by g_(k-1)[0]: reading the row itself where that is 1 moves none.
-    # A build gives the bound the classes of the sets that it walks
+def test_the_limb_bound_is_pinned_on_a_sweep(monkeypatch):
+    # the value of the bound when every class, size 1 too, scaled the
+    # binomial row by g_(k-1)[0]: reading the row itself where that is 1
+    # moves none.  A sweep gives the bound its top
     import peakpoly.engine as engine
     bound_of, given = engine._limb_bound, []
 
-    def recording(sizes):
-        given.append((sizes, bound_of(sizes)))
+    def recording(top):
+        given.append((top, bound_of(top)))
         return given[-1][1]
 
     monkeypatch.setattr(engine, "_limb_bound", recording)
-    pinned = {
-        (1200,): int(
-            "17218479456385750618067377696052635483579924745448689921733236816400"
-            "74069124174561939748453723604617328637091903196158778858492729081666"
-            "10249916098827287173446595034716559908808846798965200551239064670644"
-            "19056526231345685268240569209892573766037966584735183775739433978714"
-            "57858778270138079724077247764787455598671274627136289222751620531891"
-            "4435913511141036263772"),
-        (200, 400): int(
-            "13676361647483849731293730678725597899666492475653249567706167387630"
-            "73895495325401643409418202464823307830335956753381166932381165312912"
-            "65972443099785392116265335608475084960021788869961829171919858394775"
-            "689498851626901649790686964900295413"),
-        (5, 10, 20, 40, 80): 122841689806616064552398630633976846789674370735825566011511563728,
-    }
-    passes = _record_packed_passes(monkeypatch)
-    for s, bound in pinned.items():
-        given.clear()
-        passes.clear()
-        peak_polynomial(s)
-        ((sizes, given_bound),) = given
-        ((_, chain),) = passes
-        assert {m: set(ks) for m, ks in sizes.items()} == _sizes(t for t, _ in chain)
-        assert given_bound == bound, s
-    given.clear()
     verify.sweep(20)
-    ((sizes, given_bound),) = given
-    assert {m: set(ks) for m, ks in sizes.items()} == _sizes(structurally_admissible_sets(20))
-    assert given_bound == 3347903864779873798912
+    assert given == [(20, 3347903864779873798912)]
 
 
 def _pivot_packed(sets, width):
@@ -526,25 +499,29 @@ def _pivot_packed(sets, width):
 
 def test_the_three_term_step_packs_what_the_paper_recursion_packs():
     # every packed int of the walk to 22, at its own width, equals the one
-    # that the derived-set recursion makes; none trips.  The walk visits
-    # the sets in lexicographic order, the recursion in (max, lex) order
+    # that the derived-set recursion makes; none trips, and each unpacks
+    # to the coefficients that the list chain builds.  The walk visits the
+    # sets in lexicographic order, the recursion in (max, lex) order
     import peakpoly.engine as engine
+    from peakpoly.intpoly import _trimmed
     sets = structurally_admissible_sets(22)
-    width = (engine._limb_bound(_sizes(sets)).bit_length() // 64 + 1) * 64
+    width = (engine._limb_bound(22).bit_length() // 64 + 1) * 64
     assert width == 128
     walked = _walked((22,) * 11, width)
     assert walked == sorted(_pivot_packed(sets, width))
     high = sum(1 << width - 1 << j * width for j in range(22))
     assert not any(packed < 0 or packed & high for _, packed in walked)
+    for t, packed in walked:
+        limbs = engine._unpack(packed.to_bytes(22 * width // 8, "little"), width)
+        assert _trimmed(limbs) == engine._peak_coefficients(t), t
 
 
 def test_the_chain_is_the_closure_under_the_three_term_step(monkeypatch):
-    # the sets that peak_polynomial's walk, bounded by S, is handed are S
-    # closed under t -> (t minus max t, that set plus max t - 1), with ()
-    # and the inadmissible sets left out: its visit passes over the subtree
-    # of each set off the path to S.  At most max(S) - 1 sets, in
-    # increasing maximum, S last
-    passes = _record_packed_passes(monkeypatch)
+    # the sets that peak_polynomial's chain builds are S closed under
+    # t -> (t minus max t, that set plus max t - 1), with () and the
+    # inadmissible sets left out.  At most max(S) - 1 sets, in increasing
+    # maximum, S last
+    chains = _record_chains(monkeypatch)
     for s in structurally_admissible_sets(14) + [(5, 10, 20, 40, 80), (2, 4, 6, 30)]:
         closure, pending = set(), [s]
         while pending:
@@ -552,9 +529,9 @@ def test_the_chain_is_the_closure_under_the_three_term_step(monkeypatch):
             if t and is_structurally_admissible(t) and t not in closure:
                 closure.add(t)
                 pending += [t[:-1], t[:-1] + (t[-1] - 1,)]
-        passes.clear()
+        chains.clear()
         peak_polynomial(s)
-        ((_, entries),) = passes
+        (entries,) = chains
         chain = [t for t, _ in entries]
         assert sorted(chain) == sorted(closure) and len(chain) <= s[-1] - 1, s
         assert chain[-1] == s
@@ -618,7 +595,7 @@ def test_the_recursion_route_shares_no_build_code_with_the_formula_route(monkeyp
     def refuse(*args):
         raise AssertionError("the recursion route ran the formula route's build")
 
-    for name in ("_walk", "_packing", "_peak_coefficients"):
+    for name in ("_walk", "_packing", "_peak_coefficients", "_chain"):
         monkeypatch.setattr(engine, name, refuse)
     monkeypatch.setattr(intpoly, "_shift_center", refuse)
     assert [count_via_recursion(s, n) for s, n in cases] == expected

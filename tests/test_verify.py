@@ -66,7 +66,7 @@ def test_a_bad_k_max_is_refused_before_any_walk_or_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("built the chain or walked the down-closure before refusing k_max")
 
-    for name in ("_closure", "_walk"):
+    for name in ("_closure", "_walk", "_chain"):
         monkeypatch.setattr(engine, name, refuse)
     monkeypatch.setattr(verify, "_peak_coefficients", refuse)
     k_max_error = r"^k_max must be >= max\(S\) = 6, got 5$"
