@@ -19,7 +19,7 @@ three independent ways, and each route can cross-check the others.
 import itertools
 import struct
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 from operator import add, lshift, mul, or_, sub
 
 from peakpoly.intpoly import BinomialPolynomial, _trimmed
@@ -205,67 +205,59 @@ def _limb_bound(top: int) -> int:
     return max(max(b) for b in beta[top].values())
 
 
-# what a visit returns to have _walk pass over the subtree of the set it
-# was handed and go on to that set's next sibling
-_SKIP = "skip"
-
-
-def _walk(ends: PeakSet, width: int, visit: Callable[[PeakSet, int], object]) -> None:
-    """visit(t, p_t packed into one int) for each admissible t of at most
-    len(ends) elements with t[i] <= ends[i], depth first over the prefix
+def _walk(top: int, roots: Container[int], width: int,
+          visit: Callable[[PeakSet, int], object]) -> None:
+    """visit(t, p_t packed into one int) for each admissible t with
+    max(t) <= top and first element in roots, depth first over the prefix
     tree of admissible sets, children in increasing last element: in
-    lexicographic order: the sweep's build.  A visit that returns _SKIP
-    passes over t's subtree; any other true one prunes t's subtree and its
-    later siblings, the sets built from t.  Limb j, width bits wide, holds
-    c_j at centre m = max(t), by _chain's step: the frame of t's parent u
-    holds u's entry a, a Pascal step on per child (a + (a >> width)); b,
-    the previous sibling's (0 for the first child); ROW, limb j
-    C(m, j + 1), one step on per child.  The step is x = 2a + b,
-    P = (a & MASK) ROW - x - (x >> width).
+    lexicographic order: the sweep's build.  Every singleton {k} is
+    stepped, as each is the next one's previous sibling, but only those in
+    roots are visited and walked below.  A visit that returns true prunes
+    t's subtree and its later siblings, the sets built from t.  Limb j,
+    width bits wide, holds c_j at centre m = max(t), by _chain's step: the
+    frame of t's parent u holds u's entry a, a Pascal step on per child
+    (a + (a >> width)); b, the previous sibling's (0 for the first child);
+    ROW, limb j C(m, j + 1), one step on per child.  The step is
+    x = 2a + b, P = (a & MASK) ROW - x - (x >> width).
 
-    No step carries: a and b did not trip (or t would be pruned), so are
-    exact with limbs in [0, 2^(width-1)), and the stepped a and x add
-    nonnegative limbs below _limb_bound < 2^(width-1).  Packing is linear,
-    so P = sum of c_j 2^(j width), j < m, exactly, |c_j| < 2^(width-1); and
-    an integer has one expansion in digits from [-2^(width-1), 2^(width-1)).
-    So if all c_j >= 0, they are P's digits, no top bit set; if some
-    c_j < 0, P < 0 or a digit has its top bit set: the trip, P < 0 or a top
-    bit set, is some c_j < 0, and an entry that does not trip is exact.
+    No step carries: a and b did not trip (or t would be pruned; no
+    singleton trips), so are exact with limbs in [0, 2^(width-1)), and the
+    stepped a and x add nonnegative limbs below _limb_bound < 2^(width-1).
+    Packing is linear, so P = sum of c_j 2^(j width), j < m, exactly,
+    |c_j| < 2^(width-1); and an integer has one expansion in digits from
+    [-2^(width-1), 2^(width-1)).  So if all c_j >= 0, they are P's digits,
+    no top bit set, and P < 2^(m width); if some c_j < 0, P < 0 or a digit
+    has its top bit set: the trip, P < 0 or a top bit set, is some c_j < 0,
+    and an entry that does not trip is exact, in m limbs.
     """
     mask = (1 << width) - 1
-    ends = (*ends, 0)  # no set is longer than ends
-    # a frame: u, a, b, the next child's m and its ROW, the last child's m
-    frames = [((), 1, 0, 2, (1 << width) + 2, ends[0])]
+    # a frame: u, a, b, the next child's m and its ROW
+    frames = [((), 1, 0, 2, (1 << width) + 2)]
     while frames:
-        u, a, b, k, row, end = frames.pop()
-        last = ends[len(u) + 1]  # the last m of a child's children
-        for k in range(k, end + 1):
+        u, a, b, k, row = frames.pop()
+        for k in range(k, top + 1):
             a += a >> width
             x = 2 * a + b
             b = (a & mask) * row - x - (x >> width)
-            t = u + (k,)
-            skip = visit(t, b)
-            if skip and skip is not _SKIP:
-                break
             row += (row << width) | 1
-            if k + 2 <= last and not skip:
-                # u resumes at its next child once t's subtree is walked
-                frames += [(u, a, b, k + 1, row, end),
-                           (t, b, 0, k + 2, row + ((row << width) | 1), last)]
-                break
+            if u or k in roots:
+                t = u + (k,)
+                if visit(t, b):
+                    break
+                if k + 2 <= top:
+                    # u resumes at its next child once t's subtree is walked
+                    frames += [(u, a, b, k + 1, row),
+                               (t, b, 0, k + 2, row + ((row << width) | 1))]
+                    break
 
 
 def _rows(batch: list[tuple[PeakSet, int]], m: int,
           width: int) -> tuple[tuple[int, ...], int]:
     """The limbs of the packed entry of each (set, entry) pair in batch,
-    row after row in batch order, and the length of a row: m, from one join
-    of the entries' bytes and one unpack (see _unpack), or, if an entry
-    needs more than m limbs, as many as the longest needs."""
-    try:
-        data = b"".join([entry.to_bytes(m * width // 8, "little") for _, entry in batch])
-    except OverflowError:
-        m = max(-(-entry.bit_length() // width) for _, entry in batch)
-        data = b"".join([entry.to_bytes(m * width // 8, "little") for _, entry in batch])
+    row after row in batch order, and the length of a row, m, from one
+    join of the entries' bytes and one unpack (see _unpack): an entry of
+    maximum m that does not trip fits in m limbs (see _walk)."""
+    data = b"".join([entry.to_bytes(m * width // 8, "little") for _, entry in batch])
     return _unpack(data, width), m
 
 

@@ -14,7 +14,8 @@ its verdict off that witness.  The sweep first puts the coefficients of
 its sets, a batch of one maximum at a time, through a quick test
 (_batch_cleared) that only a batch with no witness in any set can pass, so
 a sweep that finds nothing builds no report; with workers, it walks the
-sets in forked processes, a group of subtrees each.
+sets in forked processes, a group of subtrees each, and each sends back
+only its count of sets visited and the sets it kept.
 """
 
 import itertools
@@ -27,8 +28,8 @@ from collections.abc import Callable, Iterable
 from operator import add, ge, mul
 from types import MappingProxyType
 
-from peakpoly.engine import (_SKIP, _packing, _peak_coefficients, _recursion_counts, _rows,
-                             _signed, _walk)
+from peakpoly.engine import (_packing, _peak_coefficients, _recursion_counts, _rows, _signed,
+                             _walk)
 from peakpoly.intpoly import _shift_center, _trimmed
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
@@ -311,22 +312,45 @@ class SweepSummary(namedtuple("SweepSummary",
         }
 
 
+def _fibonacci(n: int) -> list[int]:
+    """[F(0), F(1), ..., F(n)] (at least F(0) and F(1)): F(0) = 0,
+    F(1) = F(2) = 1."""
+    fib = [0, 1]
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
+def _rank(s: PeakSet) -> int:
+    """The place of the admissible set s, from 1, in the (max, lex) order
+    of the nonempty admissible sets.  F(j - 1) sets have maximum j, so
+    F(m) - 1 come before maximum m = max(s); of maximum m, for each i, the
+    sets that agree with s before i and hold v at i, lo_i <= v < s_i
+    (lo_1 = 2, lo_i = s_(i-1) + 2), number F(m - v - 1) each, in all
+    F(m - lo_i + 1) - F(m - s_i + 1)."""
+    m = s[-1]
+    fib = _fibonacci(m)
+    rank, lo = fib[m], 2
+    for v in s:
+        rank += fib[m - lo + 1] - fib[m - v + 1]
+        lo = v + 2
+    return rank
+
+
 def _deal(m_max: int, workers: int) -> list[list[int]]:
     """The roots 2..m_max, the depth-1 sets {k}, dealt into one group per
     process, at most workers and at most m_max - 3 groups (the roots with
     children): largest subtree first, each to the group with the fewest
     sets so far.  {k}'s subtree holds the sets of {k + 2..m_max} with no
-    two adjacent, each with k added: F(m_max - k + 1) sets (Fibonacci,
-    F(1) = F(2) = 1), fewer as k grows."""
+    two adjacent, each with k added: F(m_max - k + 1) sets, fewer as k
+    grows."""
     groups: list[list[int]] = [[] for _ in range(max(1, min(workers, m_max - 3)))]
     loads = [0] * len(groups)
-    fib = [1, 1]  # F(i + 1)
-    while len(fib) < m_max:
-        fib.append(fib[-1] + fib[-2])
+    fib = _fibonacci(m_max)
     for k in range(2, m_max + 1):
         i = loads.index(min(loads))
         groups[i].append(k)
-        loads[i] += fib[m_max - k]
+        loads[i] += fib[m_max - k + 1]
     return groups
 
 
@@ -397,21 +421,19 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     (_batch_cleared): a batch whose rows all have c_0 = 0 and c_1..c_(m-1)
     > 0, and are log-concave with logconcavity selected, is cleared by one
     C-level pass per coefficient column.  A batch is tested once full and
-    at the end of the walk.  Each set of a batch that is not cleared is
-    kept, and at the end gets verify_set's full report, kept if a check
-    fails.  A set built with a negative coefficient trips: the walk prunes
-    the sets built from it, all of larger maximum, and the least such set
-    in (max, lex) order is the last one checked and reported, as in a
-    build in that order.  No set above a trip's maximum can be reported,
-    so from a trip on the walk prunes those too, and drops their batches
-    untested.
+    at the end of the walk, and its sets are counted then.  Each set of a
+    batch that is not cleared is kept, and at the end gets verify_set's
+    full report, kept if a check fails.  A set built with a negative
+    coefficient trips: it is kept and counted, and the walk prunes the sets
+    built from it, all of larger maximum.  The least trip in (max, lex)
+    order is the last set reported, as in a build in that order, and its
+    place in that order (_rank) is the number of sets checked.
 
     The subtrees below the singletons {k} are independent once {k} is
     built: each process walks one group of them (_deal, _walk_groups) and
-    counts its sets by (singleton, maximum).  Kept sets are ordered by
-    (max, set), and the counts under the singletons before the least trip's
-    turn its rank into the number of sets checked.  So the summary does
-    not depend on the worker count.
+    returns its count and its kept sets.  Kept sets are ordered by
+    (max, set) and cut after the least trip.  So the summary does not
+    depend on the worker count.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -424,67 +446,50 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     logconcavity = "logconcavity" in names
     width, high = _packing(m_max)
 
-    def walk(group: list[int]) -> tuple[dict, list]:
-        # visited sets by root, then maximum; kept rows (max, set, its rank
-        # within root and max if it tripped, else 0, coefficients)
-        counts: dict[int, list[int]] = {}
-        kept = []
-        roots, visited, bound = set(group), [], m_max
+    def walk(group: list[int]) -> tuple[int, list]:
+        # the sets visited; kept rows (max, set, tripped, coefficients)
+        visited, kept = 0, []
         # by maximum, the (set, entry) pairs not yet tested
         batches: list[list[tuple[PeakSet, int]]] = [[] for _ in range(m_max + 1)]
 
         def flush(m: int) -> None:
+            nonlocal visited
             batch = batches[m]
+            visited += len(batch)
             limbs, length = _rows(batch, m, width)
             if not _batch_cleared(limbs, length, m, logconcavity):
-                kept.extend((m, t, 0, _trimmed(limbs[i * length:(i + 1) * length]))
+                kept.extend((m, t, False, _trimmed(limbs[i * length:(i + 1) * length]))
                             for i, (t, _) in enumerate(batch))
             batch.clear()
 
-        def check(t: PeakSet, entry: int) -> object:
-            nonlocal visited, bound
+        def check(t: PeakSet, entry: int) -> bool | None:
+            nonlocal visited
             m = t[-1]
-            if m > bound:
-                return True
-            if t[0] == m:  # a singleton, a root
-                if m not in roots:
-                    return _SKIP
-                visited = counts[m] = [0] * (m_max + 1)
-            visited[m] += 1
             if entry < 0 or entry & high:  # trips: some c_j < 0
-                for above in batches[m + 1:]:
-                    above.clear()
-                kept.append((m, t, visited[m], _signed(entry, width, high)))
-                bound = m
+                visited += 1
+                kept.append((m, t, True, _signed(entry, width, high)))
                 return True
             batch = batches[m]
             batch.append((t, entry))
             if len(batch) == _BATCH:
                 flush(m)
 
-        _walk((m_max,) * (m_max // 2), width, check)
+        _walk(m_max, set(group), width, check)
         for m, batch in enumerate(batches):
             if batch:
                 flush(m)
-        return counts, kept
+        return visited, kept
 
     start = time.perf_counter()
-    counts: dict[int, list[int]] = {}
-    kept = []
-    for group_counts, group_kept in _walk_groups(_deal(m_max, workers), walk):
-        counts.update(group_counts)
-        kept += group_kept
-    before = {}  # by root: the sets of each maximum under the roots before it
-    total = [0] * (m_max + 1)
-    for k, visited in sorted(counts.items()):
-        before[k], total = total, list(map(add, total, visited))
+    checked, kept = 0, []
+    for visited, rows in _walk_groups(_deal(m_max, workers), walk):
+        checked += visited
+        kept += rows
     kept.sort()  # in (max, lex) order, as no two rows hold one set
     # the least trip, if any, is the last set checked and reported
     end = next((i for i, row in enumerate(kept) if row[2]), None)
-    checked = sum(total)
     if end is not None:
-        m, s, rank, _ = kept[end]
-        checked = sum(total[:m]) + before[s[0]][m] + rank
+        checked = _rank(kept[end][1])
         del kept[end + 1:]
     failures = []
     for m, s, _, raw in kept:

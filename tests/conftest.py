@@ -47,14 +47,14 @@ def plant_negative_limb(monkeypatch):
     def plant(target, j, *more):
         targets = dict([(target, j), *more])
 
-        def planting(ends, width, visit):
+        def planting(top, roots, width, visit):
             def planted(t, entry):
                 if t in targets:
                     j = targets[t]
                     entry -= ((entry >> j * width) % (1 << width) + 1) << j * width
                 return visit(t, entry)
 
-            walk(ends, width, planted)
+            walk(top, roots, width, planted)
 
         def planted_chain(s):
             for t, coeffs in chain(s):

@@ -397,7 +397,7 @@ def test_exit_codes_via_subprocess():
     # 3: a child plants c_1 = -1 in p_{3,5}'s packed entry, and the sweep
     # fails positivity there
     plant = ("import sys, peakpoly.verify as verify, peakpoly.cli as cli; walk = verify._walk; "
-             "verify._walk = lambda ends, w, visit: walk(ends, w, lambda t, p: visit("
+             "verify._walk = lambda top, roots, w, visit: walk(top, roots, w, lambda t, p: visit("
              "t, p - ((p >> w) % (1 << w) + 1 << w) if t == (3, 5) else p)); "
              "sys.exit(cli.main(['sweep', '--max-m', '8']))")
     result = subprocess.run([sys.executable, "-c", plant], capture_output=True, text=True)

@@ -313,7 +313,7 @@ def _record_packed_passes(monkeypatch):
     # wrap the sweep's walk so each walk's (width, entries) is recorded
     walk, passes = verify._walk, []
 
-    def recording(ends, width, visit):
+    def recording(top, roots, width, visit):
         entries = []
         passes.append((width, entries))
 
@@ -321,7 +321,7 @@ def _record_packed_passes(monkeypatch):
             entries.append((t, entry))
             return visit(t, entry)
 
-        walk(ends, width, keep)
+        walk(top, roots, width, keep)
 
     monkeypatch.setattr(verify, "_walk", recording)
     return passes
@@ -343,24 +343,31 @@ def _record_chains(monkeypatch):
     return chains
 
 
-def _walked(ends, width=64):
-    # (t, packed entry) for each set that the walk bounded by ends visits,
-    # in its order; nothing is pruned, so a narrow width still visits every set
+def _walked(top, roots=None, width=64):
+    # (t, packed entry) for each set that the walk to top visits under the
+    # given roots (all by default), in its order; nothing is pruned, so a
+    # narrow width still visits every set
     import peakpoly.engine as engine
     entries = []
-    engine._walk(ends, width, lambda t, entry: entries.append((t, entry)))
+    roots = range(2, top + 1) if roots is None else roots
+    engine._walk(top, roots, width, lambda t, entry: entries.append((t, entry)))
     return entries
 
 
-def test_the_walk_visits_every_admissible_set_within_its_ends():
-    # with a visit that never prunes, the walk bounded by ends visits each
-    # admissible set of at most len(ends) elements with t[i] <= ends[i], in
-    # lexicographic order, whether ends rises or not
-    for ends in ((2,), (5,), (5, 3), (3, 9), (9, 4, 12), (7, 5, 9, 8), (6, 12, 6, 14),
-                 (4, 6, 9), (13,) * 3, (12,) * 6):
-        expected = sorted(t for t in structurally_admissible_sets(max(ends))
-                          if len(t) <= len(ends) and all(x <= e for x, e in zip(t, ends)))
-        assert [t for t, _ in _walked(ends)] == expected, ends
+def test_the_walk_visits_every_admissible_set_under_its_roots():
+    # with a visit that never prunes, the walk to top visits each
+    # admissible set of maximum <= top whose first element is a root, in
+    # lexicographic order; a singleton left out of the roots is still
+    # stepped, so the sets under the next root are built right
+    for top in range(2, 15):
+        sets = sorted(structurally_admissible_sets(top))
+        assert [t for t, _ in _walked(top)] == sets, top
+        assert _walked(top, ()) == []
+        whole = dict(_walked(top))
+        for root in range(2, top + 1):
+            walked = _walked(top, {root})
+            assert [t for t, _ in walked] == [t for t in sets if t[0] == root], (top, root)
+            assert all(whole[t] == entry for t, entry in walked), (top, root)
 
 
 def _sizes(sets):
@@ -507,7 +514,7 @@ def test_the_three_term_step_packs_what_the_paper_recursion_packs():
     sets = structurally_admissible_sets(22)
     width = (engine._limb_bound(22).bit_length() // 64 + 1) * 64
     assert width == 128
-    walked = _walked((22,) * 11, width)
+    walked = _walked(22, width=width)
     assert walked == sorted(_pivot_packed(sets, width))
     high = sum(1 << width - 1 << j * width for j in range(22))
     assert not any(packed < 0 or packed & high for _, packed in walked)

@@ -22,6 +22,7 @@ from peakpoly.verify import (
     _batch_cleared,
     _deal,
     _positivity_violation,
+    _rank,
     _verify,
     sweep,
     verify_counts,
@@ -522,6 +523,13 @@ def test_deal_gives_each_root_to_one_group_largest_subtree_first():
     assert len(_deal(5, 64)) == 2 and len(_deal(3, 4)) == len(_deal(2, 4)) == 1
 
 
+def test_rank_is_the_place_in_max_lex_order():
+    # the closed count that a trip's sets_checked reads, against the list
+    sets = structurally_admissible_sets(16)
+    assert len(sets) == 1596
+    assert [_rank(s) for s in sets] == list(range(1, len(sets) + 1))
+
+
 @pytest.mark.parametrize("names", [("positivity",), ("logconcavity",), SWEEP_CHECKS])
 def test_sweep_is_the_same_for_every_worker_count(names):
     for m_max in range(5, 17):
@@ -600,40 +608,29 @@ def test_a_failing_set_just_after_a_trip_is_not_reported(monkeypatch, plant_coef
         assert summary.sets_checked == sets.index((3, 6)) + 1
 
 
-def test_after_a_trip_no_set_above_it_is_checked(monkeypatch, plant_negative_limb):
-    # a set of larger maximum than a trip can never be reported, so after
-    # (3, 6) trips the visit prunes the first set above 6 among each set's
-    # children, with its later siblings and its subtree, drops the batches
-    # above 6 untested, and tests none
+def test_a_trip_prunes_only_the_sets_built_from_it(monkeypatch, plant_negative_limb):
+    # after (3, 6) trips, the walk passes over its subtree and its later
+    # siblings (3, 7)..(3, 12) with theirs, whose entries are built from
+    # it, and hands out every other set, of any maximum; the summary still
+    # ends at (3, 6), and the sets checked are its place in (max, lex) order
     import peakpoly.verify as verify
     sets = structurally_admissible_sets(12)
     plant_negative_limb((3, 6), 1)
-    walk, cleared, log = verify._walk, verify._batch_cleared, []
+    walk, handed = verify._walk, []
 
-    def recording(ends, width, visit):
+    def recording(top, roots, width, visit):
         def record(t, entry):
-            log.append(("handed", t))
+            handed.append(t)
             return visit(t, entry)
 
-        walk(ends, width, record)
-
-    def checking(limbs, length, m, logconcavity):
-        log.append(("checked", m))
-        return cleared(limbs, length, m, logconcavity)
+        walk(top, roots, width, record)
 
     monkeypatch.setattr(verify, "_walk", recording)
-    monkeypatch.setattr(verify, "_batch_cleared", checking)
     summary = sweep(12)
-    (report,) = summary.failures
-    assert report.positions == (3, 6)
+    # the sets built from (3, 6): those after it in (3,)'s subtree
+    assert handed == [t for t in sorted(sets) if not (t[0] == 3 and t > (3, 6))]
+    assert [report.positions for report in summary.failures] == [(3, 6)]
     assert summary.sets_checked == sets.index((3, 6)) + 1
-    after = log[log.index(("handed", (3, 6))) + 1:]
-    assert not [m for kind, m in after if kind == "checked" and m > 6]
-    # past (3, 6) and its later siblings: the sets whose elements but the
-    # last stay within 6, ending at most at the first child above 6
-    assert [t for kind, t in after if kind == "handed"] == [
-        t for t in sorted(sets) if t[0] > 3 and max(t[:-1], default=0) <= 6
-        and t[-1] <= max(7, t[-2] + 2 if len(t) > 1 else 2)]
 
 
 def _forks(monkeypatch):
@@ -675,9 +672,9 @@ def test_without_fork_the_workers_run_in_this_process(monkeypatch, fork):
         monkeypatch.setattr(os, "fork", refuse)
     walk, pids = verify._walk, []
 
-    def recording(ends, width, visit):
+    def recording(top, roots, width, visit):
         pids.append(os.getpid())
-        walk(ends, width, visit)
+        walk(top, roots, width, visit)
 
     monkeypatch.setattr(verify, "_walk", recording)
     assert _fields(sweep(12, workers=2)) == _fields(one)
@@ -714,12 +711,12 @@ def test_a_failed_worker_s_group_is_walked_here(monkeypatch, plant_coefficients,
     one = sweep(12)
     parent, walk, walks = os.getpid(), verify._walk, []
 
-    def walking(ends, width, visit):
+    def walking(top, roots, width, visit):
         if os.getpid() == parent:
-            walks.append(ends)
+            walks.append(roots)
         elif failure == "exit":
             os._exit(1)
-        walk(ends, width, visit)
+        walk(top, roots, width, visit)
 
     monkeypatch.setattr(verify, "_walk", walking)
     if failure == "status":
@@ -741,11 +738,11 @@ def test_no_worker_outlives_a_sweep_that_raises(monkeypatch):
     import peakpoly.verify as verify
     walk, parent = verify._walk, os.getpid()
 
-    def failing(ends, width, visit):
+    def failing(top, roots, width, visit):
         if os.getpid() == parent:
             raise RuntimeError("planted")
         time.sleep(60)
-        walk(ends, width, visit)
+        walk(top, roots, width, visit)
 
     monkeypatch.setattr(verify, "_walk", failing)
     pids = _forks(monkeypatch)
@@ -789,14 +786,14 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     walk = engine._walk
     passes, steps = [], []
 
-    def counting(ends, width, visit):
+    def counting(top, roots, width, visit):
         passes.append(width)
 
         def step(t, entry):
             steps.append(t)
             return visit(t, entry)
 
-        walk(ends, width, step)
+        walk(top, roots, width, step)
 
     monkeypatch.setattr(engine, "_closure", refuse)
     monkeypatch.setattr(verify, "_walk", counting)
@@ -899,12 +896,12 @@ def test_a_trip_ends_the_sweep_in_max_lex_order_not_in_walk_order(monkeypatch,
     plant_negative_limb((2, 8), 1, ((5, 7), 1))
     walk, handed = verify._walk, []
 
-    def recording(ends, width, visit):
+    def recording(top, roots, width, visit):
         def record(t, entry):
             handed.append(t)
             return visit(t, entry)
 
-        walk(ends, width, record)
+        walk(top, roots, width, record)
 
     monkeypatch.setattr(verify, "_walk", recording)
     summary = sweep(8)
