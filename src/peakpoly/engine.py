@@ -9,18 +9,18 @@ where p_S is an integer-valued polynomial of degree max(S) - 1, the peak
 polynomial of S, held as its coefficients in the binomial basis centred
 at m = max(S).  Two theorems build it, and each count route runs one:
 the formula route the alternating three-term recursion of Billey, Burdzy
-and Sagan, from at most m - 1 smaller sets (see _chain; _walk for the
-sweep); the recursion route the subtraction-free recursion over derived
-sets (lowering or omitting one element of S), on coefficient vectors
-(see _recursion_coefficients).  With the exhaustive oracle, counts come
-three independent ways, and each route can cross-check the others.
+and Sagan, from at most m - 1 smaller sets (see _chain; the sweep packs
+the same step in verify._walk); the recursion route the subtraction-free
+recursion over derived sets (lowering or omitting one element of S), on
+coefficient vectors (see _recursion_coefficients).  With the exhaustive
+oracle, counts come three independent ways, and each route can
+cross-check the others.
 """
 
 import itertools
-import struct
 from collections import namedtuple
-from collections.abc import Callable, Container, Iterable, Iterator
-from operator import add, lshift, mul, or_, sub
+from collections.abc import Iterable, Iterator
+from operator import add, mul, sub
 
 from peakpoly.intpoly import BinomialPolynomial, _trimmed
 from peakpoly.perms import (
@@ -142,7 +142,8 @@ def _chain(s: PeakSet) -> Iterator[tuple[PeakSet, list[int]]]:
 
     (Billey, Burdzy and Sagan): a is t1's list, a Pascal step on per child,
     at centre m - 1; b t2's; row C(m, j + 1).  With x = 2a + b,
-    c_j = a_0 row_j - x_j - x_(j+1).  No list is changed once yielded."""
+    c_j = a_0 row_j - x_j - x_(j+1), the step that verify._walk packs.  No
+    list is changed once yielded."""
     a, row, u = [1], [1], ()  # p_() at centre 0; C(1, j + 1)
     for end in s:
         b = [0] * len(a)
@@ -156,123 +157,6 @@ def _chain(s: PeakSet) -> Iterator[tuple[PeakSet, list[int]]]:
             b = [*map(sub, map(sub, scaled, x), x[1:])]
             yield u + (m,), b
         a, u = b, u + (end,)
-
-
-def _packing(top: int) -> tuple[int, int]:
-    """(W, high) for the sweep to top: W the least multiple of 64 with
-    _limb_bound(top) < 2^(W-1), high 2^(W-1) in each of top limbs.  An
-    entry trips, some c_j < 0, exactly when it is < 0 or has a bit of high
-    set (see _walk); _signed reads its coefficients."""
-    width = (_limb_bound(top).bit_length() // 64 + 1) * 64
-    return width, ((1 << top * width) - 1) // ((1 << width) - 1) << (width - 1)
-
-
-def _signed(entry: int, width: int, high: int) -> tuple[int, ...]:
-    """The coefficients of an entry that trips, exactly, trimmed: its
-    digits lie in [-2^(W-1), 2^(W-1)), and entry + high holds each one
-    moved up by 2^(W-1), in one limb."""
-    half = 1 << width - 1
-    data = (entry + high).to_bytes(high.bit_length() // 8, "little")
-    return _trimmed([c - half for c in _unpack(data, width)])
-
-
-def _limb_bound(top: int) -> int:
-    """The largest beta_(top, k)[j], a bound on |c_j| over the sets of
-    maximum <= top, with no sign assumed; beta_(m, k) bounds the class of
-    maximum m and size k.  g_k' bounds each set of size k' and maximum
-    <= m - 2 at centre m - 1, from g_0 = [1]; at each level it takes in
-    beta_(m-2, k') and moves a Pascal step, P(v)[j] = v[j] + v[j + 1].  By
-    the step, beta_(m, k)[j] = g_(k-1)[0] C(m, j + 1) + P(x)[j], x =
-    2 g_(k-1) + beta_(m-1, k) (0 if there is no such class) bounding
-    _walk's x.  As P(v) >= v, beta_(m, k) covers x and the stepped parents,
-    and beta_(m+1, k) covers it, so the classes at top cover every set."""
-    g = {0: [1]}
-    beta: dict[int, dict[int, list[int]]] = {}  # by maximum m - 2..m, then size
-    row = [1]  # C(m, j + 1) for j = 0..m - 1
-    for m in range(2, top + 1):
-        row = [*map(add, row, [1] + row), 1]
-        for k, b in beta.pop(m - 2, {}).items():
-            v = g.get(k, [])
-            g[k] = [*map(max, v, b), *v[len(b):], *b[len(v):]]
-        g = {k: [*map(add, v, v[1:]), v[-1]] for k, v in g.items()}
-        below, level = beta.get(m - 1, {}), beta.setdefault(m, {})
-        for k in range(1, m // 2 + 1):
-            v, b = g[k - 1], below.get(k, [])
-            x = [*map(add, map(add, v, v), b), *map(add, v[len(b):], v[len(b):]), *b[len(v):]]
-            x += [0] * (m + 1 - len(x))
-            scaled = row if v[0] == 1 else map(mul, row, itertools.repeat(v[0]))  # 1 for size 1
-            level[k] = list(map(add, map(add, scaled, x), x[1:]))
-    return max(max(b) for b in beta[top].values())
-
-
-def _walk(top: int, roots: Container[int], width: int,
-          visit: Callable[[PeakSet, int], object]) -> None:
-    """visit(t, p_t packed into one int) for each admissible t with
-    max(t) <= top and first element in roots, depth first over the prefix
-    tree of admissible sets, children in increasing last element: in
-    lexicographic order: the sweep's build.  Every singleton {k} is
-    stepped, as each is the next one's previous sibling, but only those in
-    roots are visited and walked below.  A visit that returns true prunes
-    t's subtree and its later siblings, the sets built from t.  Limb j,
-    width bits wide, holds c_j at centre m = max(t), by _chain's step: the
-    frame of t's parent u holds u's entry a, a Pascal step on per child
-    (a + (a >> width)); b, the previous sibling's (0 for the first child);
-    ROW, limb j C(m, j + 1), one step on per child.  The step is
-    x = 2a + b, P = (a & MASK) ROW - x - (x >> width).
-
-    No step carries: a and b did not trip (or t would be pruned; no
-    singleton trips), so are exact with limbs in [0, 2^(width-1)), and the
-    stepped a and x add nonnegative limbs below _limb_bound < 2^(width-1).
-    Packing is linear, so P = sum of c_j 2^(j width), j < m, exactly,
-    |c_j| < 2^(width-1); and an integer has one expansion in digits from
-    [-2^(width-1), 2^(width-1)).  So if all c_j >= 0, they are P's digits,
-    no top bit set, and P < 2^(m width); if some c_j < 0, P < 0 or a digit
-    has its top bit set: the trip, P < 0 or a top bit set, is some c_j < 0,
-    and an entry that does not trip is exact, in m limbs.
-    """
-    mask = (1 << width) - 1
-    # a frame: u, a, b, the next child's m and its ROW
-    frames = [((), 1, 0, 2, (1 << width) + 2)]
-    while frames:
-        u, a, b, k, row = frames.pop()
-        for k in range(k, top + 1):
-            a += a >> width
-            x = 2 * a + b
-            b = (a & mask) * row - x - (x >> width)
-            row += (row << width) | 1
-            if u or k in roots:
-                t = u + (k,)
-                if visit(t, b):
-                    break
-                if k + 2 <= top:
-                    # u resumes at its next child once t's subtree is walked
-                    frames += [(u, a, b, k + 1, row),
-                               (t, b, 0, k + 2, row + ((row << width) | 1))]
-                    break
-
-
-def _rows(batch: list[tuple[PeakSet, int]], m: int,
-          width: int) -> tuple[tuple[int, ...], int]:
-    """The limbs of the packed entry of each (set, entry) pair in batch,
-    row after row in batch order, and the length of a row, m, from one
-    join of the entries' bytes and one unpack (see _unpack): an entry of
-    maximum m that does not trip fits in m limbs (see _walk)."""
-    data = b"".join([entry.to_bytes(m * width // 8, "little") for _, entry in batch])
-    return _unpack(data, width), m
-
-
-def _unpack(data: bytes, width: int) -> tuple[int, ...]:
-    """The limbs of the little-endian data, width (a multiple of 64) bits
-    each, lowest first, from one unpack into 64-bit words; each column of
-    upper words is ORed in at C level, unless all 0."""
-    words = struct.unpack(f"<{len(data) // 8}Q", data)
-    step = width // 64
-    limbs = words[::step]
-    for i in range(1, step):
-        column = words[i::step]
-        if any(column):
-            limbs = map(or_, limbs, map(lshift, column, itertools.repeat(64 * i)))
-    return tuple(limbs)
 
 
 def count_via_formula(positions: Iterable[int], n: int) -> int:

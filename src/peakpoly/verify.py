@@ -10,27 +10,29 @@ Each single-set function is verify_set with fixed checks, which validates
 its input once (check names, then the set, then k_max, before any build)
 and reads the coefficients once.  _verify decides each selected check's
 witness, None when it holds, in the branch that reports it, and reads
-its verdict off that witness.  The sweep first puts the coefficients of
-its sets, a batch of one maximum at a time, through a quick test
-(_batch_cleared) that only a batch with no witness in any set can pass, so
-a sweep that finds nothing builds no report; with workers, it walks the
-sets in forked processes, a group of subtrees each, and each sends back
-only its count of sets visited and the sets it kept.
+its verdict off that witness.  The sweep builds each set packed in one
+int (_walk, sized by _limb_bound, read by _rows and _signed), a format
+no other module reads, and puts the coefficients of its sets, a batch
+of one maximum at a time, through a quick test (_batch_cleared) that
+only a batch with no witness in any set can pass, so a sweep that finds
+nothing builds no report; with workers, it walks the sets in forked
+processes, a group of subtrees each, and each sends back only its count
+of sets visited and the sets it kept.
 """
 
 import itertools
 import marshal
 import os
+import struct
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Callable, Iterable
-from operator import add, ge, mul
+from collections.abc import Callable, Container, Iterable
+from operator import add, ge, lshift, mul, or_
 from types import MappingProxyType
 
-from peakpoly.engine import (_packing, _peak_coefficients, _recursion_counts, _rows, _signed,
-                             _walk)
-from peakpoly.intpoly import _shift_center, _trimmed
+from peakpoly.engine import NegativeCoefficientError, _peak_coefficients, _recursion_counts
+from peakpoly.intpoly import _trimmed
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -101,7 +103,7 @@ def _positivity_violation(coeffs: tuple[int, ...], m: int,
     witness = None
     for k in range(m, k_max + 1):
         if k > m:
-            _shift_center(coeffs, 1)
+            coeffs[:-1] = map(add, coeffs, coeffs[1:])
         for j in range(1, m if witness is None else witness[0]):
             if coeffs[j] <= 0:
                 witness = (j, k)
@@ -312,6 +314,114 @@ class SweepSummary(namedtuple("SweepSummary",
         }
 
 
+def _signed(entry: int, width: int, high: int) -> tuple[int, ...]:
+    """The coefficients of an entry that trips, exactly, trimmed: its
+    digits lie in [-2^(W-1), 2^(W-1)), and entry + high holds each one
+    moved up by 2^(W-1), in one limb."""
+    half = 1 << width - 1
+    data = (entry + high).to_bytes(high.bit_length() // 8, "little")
+    return _trimmed([c - half for c in _unpack(data, width)])
+
+
+def _limb_bound(top: int) -> int:
+    """The largest beta_(top, k)[j], a bound on |c_j| over the sets of
+    maximum <= top, with no sign assumed; beta_(m, k) bounds the class of
+    maximum m and size k.  g_k' bounds each set of size k' and maximum
+    <= m - 2 at centre m - 1, from g_0 = [1]; at each level it takes in
+    beta_(m-2, k') and moves a Pascal step, P(v)[j] = v[j] + v[j + 1].  By
+    the step, beta_(m, k)[j] = g_(k-1)[0] C(m, j + 1) + P(x)[j], x =
+    2 g_(k-1) + beta_(m-1, k) (0 if there is no such class) bounding
+    _walk's x.  As P(v) >= v, beta_(m, k) covers x and the stepped parents,
+    and beta_(m+1, k) covers it, so the classes at top cover every set."""
+    g = {0: [1]}
+    beta: dict[int, dict[int, list[int]]] = {}  # by maximum m - 2..m, then size
+    row = [1]  # C(m, j + 1) for j = 0..m - 1
+    for m in range(2, top + 1):
+        row = [*map(add, row, [1] + row), 1]
+        for k, b in beta.pop(m - 2, {}).items():
+            v = g.get(k, [])
+            g[k] = [*map(max, v, b), *v[len(b):], *b[len(v):]]
+        g = {k: [*map(add, v, v[1:]), v[-1]] for k, v in g.items()}
+        below, level = beta.get(m - 1, {}), beta.setdefault(m, {})
+        for k in range(1, m // 2 + 1):
+            v, b = g[k - 1], below.get(k, [])
+            x = [*map(add, map(add, v, v), b), *map(add, v[len(b):], v[len(b):]), *b[len(v):]]
+            x += [0] * (m + 1 - len(x))
+            scaled = row if v[0] == 1 else map(mul, row, itertools.repeat(v[0]))  # 1 for size 1
+            level[k] = list(map(add, map(add, scaled, x), x[1:]))
+    return max(max(b) for b in beta[top].values())
+
+
+def _walk(top: int, roots: Container[int], width: int,
+          visit: Callable[[PeakSet, int], object]) -> None:
+    """visit(t, p_t packed into one int) for each admissible t with
+    max(t) <= top and first element in roots, depth first over the prefix
+    tree of admissible sets, children in increasing last element: in
+    lexicographic order: the sweep's build.  Every singleton {k} is
+    stepped, as each is the next one's previous sibling, but only those in
+    roots are visited and walked below.  A visit that returns true prunes
+    t's subtree and its later siblings, the sets built from t.  Limb j,
+    width bits wide, holds c_j at centre m = max(t), by engine._chain's step: the
+    frame of t's parent u holds u's entry a, a Pascal step on per child
+    (a + (a >> width)); b, the previous sibling's (0 for the first child);
+    ROW, limb j C(m, j + 1), one step on per child.  The step is
+    x = 2a + b, P = (a & MASK) ROW - x - (x >> width).
+
+    No step carries: a and b did not trip (or t would be pruned; no
+    singleton trips), so are exact with limbs in [0, 2^(width-1)), and the
+    stepped a and x add nonnegative limbs below _limb_bound < 2^(width-1).
+    Packing is linear, so P = sum of c_j 2^(j width), j < m, exactly,
+    |c_j| < 2^(width-1); and an integer has one expansion in digits from
+    [-2^(width-1), 2^(width-1)).  So if all c_j >= 0, they are P's digits,
+    no top bit set, and P < 2^(m width); if some c_j < 0, P < 0 or a digit
+    has its top bit set: the trip, P < 0 or a top bit set, is some c_j < 0,
+    and an entry that does not trip is exact, in m limbs.
+    """
+    mask = (1 << width) - 1
+    # a frame: u, a, b, the next child's m and its ROW
+    frames = [((), 1, 0, 2, (1 << width) + 2)]
+    while frames:
+        u, a, b, k, row = frames.pop()
+        for k in range(k, top + 1):
+            a += a >> width
+            x = 2 * a + b
+            b = (a & mask) * row - x - (x >> width)
+            row += (row << width) | 1
+            if u or k in roots:
+                t = u + (k,)
+                if visit(t, b):
+                    break
+                if k + 2 <= top:
+                    # u resumes at its next child once t's subtree is walked
+                    frames += [(u, a, b, k + 1, row),
+                               (t, b, 0, k + 2, row + ((row << width) | 1))]
+                    break
+
+
+def _rows(batch: list[tuple[PeakSet, int]], m: int,
+          width: int) -> tuple[tuple[int, ...], int]:
+    """The limbs of the packed entry of each (set, entry) pair in batch,
+    row after row in batch order, and the length of a row, m, from one
+    join of the entries' bytes and one unpack (see _unpack): an entry of
+    maximum m that does not trip fits in m limbs (see _walk)."""
+    data = b"".join([entry.to_bytes(m * width // 8, "little") for _, entry in batch])
+    return _unpack(data, width), m
+
+
+def _unpack(data: bytes, width: int) -> tuple[int, ...]:
+    """The limbs of the little-endian data, width (a multiple of 64) bits
+    each, lowest first, from one unpack into 64-bit words; each column of
+    upper words is ORed in at C level, unless all 0."""
+    words = struct.unpack(f"<{len(data) // 8}Q", data)
+    step = width // 64
+    limbs = words[::step]
+    for i in range(1, step):
+        column = words[i::step]
+        if any(column):
+            limbs = map(or_, limbs, map(lshift, column, itertools.repeat(64 * i)))
+    return tuple(limbs)
+
+
 def _fibonacci(n: int) -> list[int]:
     """[F(0), F(1), ..., F(n)] (at least F(0) and F(1)): F(0) = 0,
     F(1) = F(2) = 1."""
@@ -415,7 +525,7 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     in up to workers processes.
 
     One walk of the prefix tree builds each set from its parent and its
-    previous sibling just before its checks (see engine._walk), so the sets
+    previous sibling just before its checks (see _walk), so the sets
     are canonical and admissible by construction and none is validated.
     The sets of one maximum m are tested in batches of up to _BATCH
     (_batch_cleared): a batch whose rows all have c_0 = 0 and c_1..c_(m-1)
@@ -427,7 +537,9 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     coefficient trips: it is kept and counted, and the walk prunes the sets
     built from it, all of larger maximum.  The least trip in (max, lex)
     order is the last set reported, as in a build in that order, and its
-    place in that order (_rank) is the number of sets checked.
+    place in that order (_rank) is the number of sets checked; if no
+    selected check fails on it (log-concavity alone may not), the sweep
+    raises NegativeCoefficientError instead.
 
     The subtrees below the singletons {k} are independent once {k} is
     built: each process walks one group of them (_deal, _walk_groups) and
@@ -444,7 +556,10 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         raise ValueError(f"k_extra must be >= 0, got {k_extra}")
 
     logconcavity = "logconcavity" in names
-    width, high = _packing(m_max)
+    # the least multiple of 64 bits with _limb_bound(m_max) < 2^(width-1),
+    # and 2^(width-1) in each of m_max limbs
+    width = (_limb_bound(m_max).bit_length() // 64 + 1) * 64
+    high = ((1 << m_max * width) - 1) // ((1 << width) - 1) << (width - 1)
 
     def walk(group: list[int]) -> tuple[int, list]:
         # the sets visited; kept rows (max, set, tripped, coefficients)
@@ -465,7 +580,9 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         def check(t: PeakSet, entry: int) -> bool | None:
             nonlocal visited
             m = t[-1]
-            if entry < 0 or entry & high:  # trips: some c_j < 0
+            # trips, some c_j < 0, exactly when entry < 0 or has a bit of
+            # high set (see _walk); _signed reads its coefficients
+            if entry < 0 or entry & high:
                 visited += 1
                 kept.append((m, t, True, _signed(entry, width, high)))
                 return True
@@ -492,8 +609,12 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         checked = _rank(kept[end][1])
         del kept[end + 1:]
     failures = []
-    for m, s, _, raw in kept:
+    for m, s, tripped, raw in kept:
         report = _verify(s, raw, names, m + k_extra)
         if not report.passed:
             failures.append(report)
+        elif tripped:  # no selected check sees its c_j < 0
+            j = next(j for j, c in enumerate(raw) if c < 0)
+            raise NegativeCoefficientError(f"p_S for S = {{{','.join(map(str, s))}}} has c_{j} = "
+                                           f"{raw[j]} < 0; the sweep stops there, after {checked} sets")
     return SweepSummary(m_max, names, checked, tuple(failures), time.perf_counter() - start)

@@ -12,7 +12,7 @@ def plant_coefficients(monkeypatch):
     the sets built from t still use its real entry."""
     import peakpoly.engine as engine
     import peakpoly.verify as verify
-    coefficients, rows = engine._peak_coefficients, engine._rows
+    coefficients, rows = engine._peak_coefficients, verify._rows
 
     def plant(change):
         def planted_coefficients(s):
@@ -42,7 +42,7 @@ def plant_negative_limb(monkeypatch):
     further (target, j) pairs.  Each call replaces the last one's."""
     import peakpoly.engine as engine
     import peakpoly.verify as verify
-    walk, chain = engine._walk, engine._chain
+    walk, chain = verify._walk, engine._chain
 
     def plant(target, j, *more):
         targets = dict([(target, j), *more])

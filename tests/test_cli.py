@@ -396,13 +396,30 @@ def test_exit_codes_via_subprocess():
     assert _run_module("nonsense").returncode == 1
     # 3: a child plants c_1 = -1 in p_{3,5}'s packed entry, and the sweep
     # fails positivity there
+    result = _run_planted("sweep", "--max-m", "8")
+    assert result.returncode == 3, result.stderr
+    assert "FAIL {3,5}: positivity" in result.stdout
+
+
+def _run_planted(*argv):
+    # the CLI in a child that plants c_1 = -1 in p_{3,5}'s packed entry
     plant = ("import sys, peakpoly.verify as verify, peakpoly.cli as cli; walk = verify._walk; "
              "verify._walk = lambda top, roots, w, visit: walk(top, roots, w, lambda t, p: visit("
              "t, p - ((p >> w) % (1 << w) + 1 << w) if t == (3, 5) else p)); "
-             "sys.exit(cli.main(['sweep', '--max-m', '8']))")
-    result = subprocess.run([sys.executable, "-c", plant], capture_output=True, text=True)
-    assert result.returncode == 3, result.stderr
-    assert "FAIL {3,5}: positivity" in result.stdout
+             f"sys.exit(cli.main({list(argv)!r}))")
+    return subprocess.run([sys.executable, "-c", plant], capture_output=True, text=True)
+
+
+def test_a_planted_trip_that_log_concavity_passes_exits_3_via_subprocess():
+    # log-concavity alone passes {3,5} with c_1 = -1: the sweep ends there
+    # with one error line and no summary, whatever the worker count
+    for jobs in ("1", "2", "3"):
+        result = _run_planted("sweep", "--max-m", "16", "--checks", "logconcavity",
+                              "--format", "json", "--jobs", jobs)
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == ("error: p_S for S = {3,5} has c_1 = -1 < 0; "
+                                 "the sweep stops there, after 6 sets\n"), jobs
 
 
 def test_recursion_count_at_large_n_via_subprocess():

@@ -347,10 +347,9 @@ def _walked(top, roots=None, width=64):
     # (t, packed entry) for each set that the walk to top visits under the
     # given roots (all by default), in its order; nothing is pruned, so a
     # narrow width still visits every set
-    import peakpoly.engine as engine
     entries = []
     roots = range(2, top + 1) if roots is None else roots
-    engine._walk(top, roots, width, lambda t, entry: entries.append((t, entry)))
+    verify._walk(top, roots, width, lambda t, entry: entries.append((t, entry)))
     return entries
 
 
@@ -415,7 +414,6 @@ def test_wide_limbs_match_one_from_bytes_per_limb():
     # past 64 bits a limb is its words ORed together; the reference reads
     # each limb on its own
     import random
-    import peakpoly.engine as engine
     rng = random.Random(7)
     for width in (128, 192, 512):
         # [1, 2 ** (width - 64), 3] has one nonzero word above a limb's lowest
@@ -426,7 +424,7 @@ def test_wide_limbs_match_one_from_bytes_per_limb():
             size = width // 8
             reference = tuple(int.from_bytes(data[i:i + size], "little")
                               for i in range(0, len(data), size))
-            assert engine._unpack(data, width) == reference == tuple(limbs), width
+            assert verify._unpack(data, width) == reference == tuple(limbs), width
 
 
 def _pascal(v):
@@ -455,7 +453,6 @@ def test_the_limb_bound_covers_every_coefficient_with_no_sign_assumed(monkeypatc
     # the width is never checked again once chosen, so the bound over the
     # classes of a sweep to top (maximum m <= top, size k <= m // 2) must
     # be at least the bound set by set, and above |c_j| of every set built
-    import peakpoly.engine as engine
     passes = _record_packed_passes(monkeypatch)
     for m in range(2, 17):
         verify.sweep(m)
@@ -463,11 +460,11 @@ def test_the_limb_bound_covers_every_coefficient_with_no_sign_assumed(monkeypatc
     for top, (width, entries) in enumerate(passes, 2):
         sets = [t for t, _ in entries]
         assert _sizes(sets) == {m: set(range(1, m // 2 + 1)) for m in range(2, top + 1)}
-        bound = engine._limb_bound(top)
+        bound = verify._limb_bound(top)
         assert bound >= max(max(b) for b in _reference_limb_bounds(sets).values()), top
         assert width == (bound.bit_length() // 64 + 1) * 64, top
         for t, packed in entries:
-            limbs = engine._unpack(packed.to_bytes(top * width // 8, "little"), width)
+            limbs = verify._unpack(packed.to_bytes(top * width // 8, "little"), width)
             assert all(bound > c for c in limbs), t
 
 
@@ -475,14 +472,13 @@ def test_the_limb_bound_is_pinned_on_a_sweep(monkeypatch):
     # the value of the bound when every class, size 1 too, scaled the
     # binomial row by g_(k-1)[0]: reading the row itself where that is 1
     # moves none.  A sweep gives the bound its top
-    import peakpoly.engine as engine
-    bound_of, given = engine._limb_bound, []
+    bound_of, given = verify._limb_bound, []
 
     def recording(top):
         given.append((top, bound_of(top)))
         return given[-1][1]
 
-    monkeypatch.setattr(engine, "_limb_bound", recording)
+    monkeypatch.setattr(verify, "_limb_bound", recording)
     verify.sweep(20)
     assert given == [(20, 3347903864779873798912)]
 
@@ -512,14 +508,14 @@ def test_the_three_term_step_packs_what_the_paper_recursion_packs():
     import peakpoly.engine as engine
     from peakpoly.intpoly import _trimmed
     sets = structurally_admissible_sets(22)
-    width = (engine._limb_bound(22).bit_length() // 64 + 1) * 64
+    width = (verify._limb_bound(22).bit_length() // 64 + 1) * 64
     assert width == 128
     walked = _walked(22, width=width)
     assert walked == sorted(_pivot_packed(sets, width))
     high = sum(1 << width - 1 << j * width for j in range(22))
     assert not any(packed < 0 or packed & high for _, packed in walked)
     for t, packed in walked:
-        limbs = engine._unpack(packed.to_bytes(22 * width // 8, "little"), width)
+        limbs = verify._unpack(packed.to_bytes(22 * width // 8, "little"), width)
         assert _trimmed(limbs) == engine._peak_coefficients(t), t
 
 
@@ -602,7 +598,9 @@ def test_the_recursion_route_shares_no_build_code_with_the_formula_route(monkeyp
     def refuse(*args):
         raise AssertionError("the recursion route ran the formula route's build")
 
-    for name in ("_walk", "_packing", "_peak_coefficients", "_chain"):
+    for name in ("_walk", "_limb_bound"):
+        monkeypatch.setattr(verify, name, refuse)
+    for name in ("_peak_coefficients", "_chain"):
         monkeypatch.setattr(engine, name, refuse)
     monkeypatch.setattr(intpoly, "_shift_center", refuse)
     assert [count_via_recursion(s, n) for s, n in cases] == expected

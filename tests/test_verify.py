@@ -67,9 +67,10 @@ def test_a_bad_k_max_is_refused_before_any_walk_or_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("built the chain or walked the down-closure before refusing k_max")
 
-    for name in ("_closure", "_walk", "_chain"):
+    for name in ("_closure", "_chain"):
         monkeypatch.setattr(engine, name, refuse)
-    monkeypatch.setattr(verify, "_peak_coefficients", refuse)
+    for name in ("_walk", "_peak_coefficients"):
+        monkeypatch.setattr(verify, name, refuse)
     k_max_error = r"^k_max must be >= max\(S\) = 6, got 5$"
     with pytest.raises(ValueError, match=k_max_error):
         verify_positivity((4, 6), 5)
@@ -301,11 +302,16 @@ def test_the_column_test_clears_a_batch_exactly_when_every_row_is_cleared(batch,
 
 def test_positivity_of_peak_polynomials_needs_no_shift(monkeypatch):
     # c_1..c_(m-1) > 0 at centre m with nothing above degree m - 1 settles
-    # every later centre, so the scan never moves the centre
-    def refuse(coeffs, steps):
+    # every later centre, so the scan never moves the centre, which it
+    # would do by a Pascal step with add
+    import peakpoly.verify as verify
+
+    def refuse(a, b):
         raise AssertionError("the positivity scan shifted a peak polynomial")
 
-    monkeypatch.setattr("peakpoly.verify._shift_center", refuse)
+    bound = verify._limb_bound(10)  # the sweep's limb bound steps with add too
+    monkeypatch.setattr(verify, "_limb_bound", lambda top: bound)
+    monkeypatch.setattr(verify, "add", refuse)
     assert verify_positivity((4, 6), 100).passed
     assert sweep(10).failures == ()
     # a witness found at centre m with no coefficient negative is final too
@@ -783,7 +789,7 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sweep walked a down-closure")
 
-    walk = engine._walk
+    walk = verify._walk
     passes, steps = [], []
 
     def counting(top, roots, width, visit):
@@ -857,10 +863,12 @@ def test_a_negative_limb_trips_and_ends_the_build(plant_negative_limb):
     # is handed that set with its exact coefficients, reports it with a
     # positivity witness, and builds no set after it; a set whose chain
     # holds it cannot be built.  (7,)'s c_6 is its top coefficient, so its
-    # packed int is < 0; the others keep a top bit set in a limb
+    # packed int is < 0; the others keep a top bit set in a limb.  Only
+    # (2, 5, 8)'s c_3 = -1 fails log-concavity: a log-concavity sweep
+    # reports it, and is an error at the other two
     sets = structurally_admissible_sets(8)
     exact = {s: peak_polynomial(s).coeffs for s in sets}
-    for target, j in (((3, 5), 1), ((2, 5, 8), 3), ((7,), 6)):
+    for target, j, logconcave in (((3, 5), 1, True), ((2, 5, 8), 3, False), ((7,), 6, True)):
         plant_negative_limb(target, j)
         summary = sweep(8)
         (report,) = summary.failures
@@ -869,12 +877,20 @@ def test_a_negative_limb_trips_and_ends_the_build(plant_negative_limb):
         assert report.coefficients == tuple(-1 if i == j else c
                                             for i, c in enumerate(exact[target] + (0,)))
         assert {c.name: c.witness for c in report.checks}["positivity"] == (j, target[-1])
-        assert sweep(8, ("logconcavity",)).sets_checked == summary.sets_checked
+        braced = "{" + ",".join(map(str, target)) + "}"
+        if logconcave:
+            with pytest.raises(NegativeCoefficientError, match="^" + re.escape(
+                    f"p_S for S = {braced} has c_{j} = -1 < 0; the sweep stops there, "
+                    f"after {summary.sets_checked} sets") + "$"):
+                sweep(8, ("logconcavity",))
+        else:
+            logconcavity = sweep(8, ("logconcavity",))
+            assert logconcavity.sets_checked == summary.sets_checked
+            assert [r.positions for r in logconcavity.failures] == [target]
 
         # the set itself is handed out as it came; a set above it is refused
         assert peak_polynomial(target).coeffs[j] == -1
         above = target[:-1] + (target[-1] + 2,)
-        braced = "{" + ",".join(map(str, target)) + "}"
         message = "^" + re.escape(f"p_S for S = {braced} has c_{j} = -1 < 0; ")
         with pytest.raises(NegativeCoefficientError, match=message):
             peak_polynomial(above)
@@ -908,7 +924,33 @@ def test_a_trip_ends_the_sweep_in_max_lex_order_not_in_walk_order(monkeypatch,
     assert [report.positions for report in summary.failures] == [(5, 7)]
     assert summary.sets_checked == sets.index((5, 7)) + 1
     assert handed == [s for s in sorted(sets) if s != (5, 8)]
-    assert sweep(8, ("logconcavity",)).sets_checked == summary.sets_checked
+    # log-concavity alone passes (5, 7)'s c_1 = -1, so that sweep is an error
+    with pytest.raises(NegativeCoefficientError, match=re.escape(
+            f"{{5,7}} has c_1 = -1 < 0; the sweep stops there, after {summary.sets_checked} sets")):
+        sweep(8, ("logconcavity",))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_trip_that_no_selected_check_fails_is_an_error(plant_negative_limb, workers):
+    # a trip ends the sweep and is the last set reported; when the
+    # selected checks all pass on it, as log-concavity does on {3,5} with
+    # c_1 = -1, the sweep raises rather than report no failure.  A trip
+    # that a selected check fails is still a reported failure
+    plant_negative_limb((3, 5), 1)
+    with pytest.raises(NegativeCoefficientError, match="^" + re.escape(
+            "p_S for S = {3,5} has c_1 = -1 < 0; the sweep stops there, after 6 sets") + "$"):
+        sweep(16, ("logconcavity",), workers=workers)
+    summary = sweep(16, workers=workers)
+    assert summary.sets_checked == 6
+    assert [report.positions for report in summary.failures] == [(3, 5)]
+
+    plant_negative_limb((2, 5, 8), 3)
+    sets = structurally_admissible_sets(16)
+    summary = sweep(16, ("logconcavity",), workers=workers)
+    assert summary.sets_checked == sets.index((2, 5, 8)) + 1
+    (report,) = summary.failures
+    assert report.positions == (2, 5, 8)
+    assert [(c.name, c.witness) for c in report.checks] == [("logconcavity", 3)]
 
 
 def test_sweep_lists_no_sets(monkeypatch):
