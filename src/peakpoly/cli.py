@@ -6,7 +6,7 @@ integers as decimal strings.
 
 Exit codes: 0 success (and all checks passed), 1 usage or resource-limit
 error, 2 structurally inadmissible peak set, 3 a verification check failed,
-the counting routes disagreed, or a set the build needed came out negative.
+the counting routes disagreed, or a set came out with a negative coefficient.
 """
 
 import argparse

@@ -25,6 +25,7 @@ from operator import add, mul, sub
 from peakpoly.intpoly import BinomialPolynomial, _trimmed
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
     PeakSet,
     Permutation,
     _admissible,
@@ -32,6 +33,11 @@ from peakpoly.perms import (
     as_peak_set,
     group_permutations_by_peak_set,
 )
+
+# the most sets that _closure walks; {2,4,...,24}, the largest closure that
+# CI reaches, has 4,096, and {100,200,300,400}'s exhausts memory
+_CLOSURE_CAP = 100_000
+
 
 class DerivedPair(namedtuple("DerivedPair", "pivot lowered lowered_admissible omitted")):
     """The two sets obtained from a peak set at one chosen element, pivot.
@@ -91,11 +97,15 @@ def _closure(s: PeakSet) -> list[tuple[PeakSet, list[PeakSet]]]:
     first and s last, each set with its terms: each admissible lowered set
     once and each omitted set once, the lists sharing one copy of each
     set.  s must be canonical and admissible; the walk keeps an explicit
-    stack."""
+    stack, and refuses a closure of more than _CLOSURE_CAP sets as soon
+    as it has found them."""
     closure: list[tuple[PeakSet, list[PeakSet]]] = []
     found = {s: s}
     pending = [s]
     while pending:
+        if len(found) > _CLOSURE_CAP:
+            raise EnumerationCapError(f"the closure of {{{','.join(map(str, s))}}} under derived "
+                                      f"sets has more than {_CLOSURE_CAP} sets")
         t = pending.pop()
         parts: list[PeakSet] = []
         closure.append((t, parts))
@@ -110,7 +120,15 @@ def _closure(s: PeakSet) -> list[tuple[PeakSet, list[PeakSet]]]:
 
 
 class NegativeCoefficientError(ArithmeticError):
-    """The build of a set stopped below it, at a set with a negative coefficient."""
+    """A set was built with a negative coefficient, which the paper rules out."""
+
+
+def _negative(t: PeakSet, coeffs: Iterable[int], then: str) -> NegativeCoefficientError:
+    """The error for the set t, whose coefficients coeffs hold some c_j < 0:
+    it names t and the first such c_j, then says what then follows."""
+    j, c = next((j, c) for j, c in enumerate(coeffs) if c < 0)
+    return NegativeCoefficientError(
+        f"p_S for S = {{{','.join(map(str, t))}}} has c_{j} = {c} < 0; {then}")
 
 
 def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
@@ -125,9 +143,7 @@ def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
         return ()
     for t, coeffs in _chain(s):
         if min(coeffs) < 0 and t != s:
-            j = next(j for j, c in enumerate(coeffs) if c < 0)
-            raise NegativeCoefficientError(f"p_S for S = {{{','.join(map(str, t))}}} has c_{j} = "
-                                           f"{coeffs[j]} < 0; {{{','.join(map(str, s))}}} is not built")
+            raise _negative(t, coeffs, f"{{{','.join(map(str, s))}}} is not built")
     return _trimmed(coeffs)
 
 

@@ -30,7 +30,9 @@ class InadmissibleSetError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """An exhaustive scan of S_n was requested above the configured cap."""
+    """An exhaustive scan of S_n was requested above the configured cap, or
+    a set's closure under derived sets holds more sets than the recursion
+    count route builds (engine._CLOSURE_CAP)."""
 
 
 def is_permutation(entries: Sequence[int]) -> bool:

@@ -11,13 +11,16 @@ its input once (check names, then the set, then k_max, before any build)
 and reads the coefficients once.  _verify decides each selected check's
 witness, None when it holds, in the branch that reports it, and reads
 its verdict off that witness.  The sweep builds each set packed in one
-int (_walk, sized by _limb_bound, read by _rows and _signed), a format
-no other module reads, and puts the coefficients of its sets, a batch
-of one maximum at a time, through a quick test (_batch_cleared) that
-only a batch with no witness in any set can pass, so a sweep that finds
-nothing builds no report; with workers, it walks the sets in forked
-processes, a group of subtrees each, and each sends back only its count
-of sets visited and the sets it kept.
+int (_walk, sized by _limb_bound, read by _rows), a format no other
+module reads; the walk tests each entry's sign and hands out a negative
+one decoded (_signed).  The sweep puts the coefficients of its sets, a
+batch of one maximum at a time, through a quick test (_batch_cleared)
+that only a batch with no witness in any set can pass, so a sweep that
+finds nothing builds no report; with workers, it walks the sets in
+forked processes, a group of subtrees each, and each sends back only its
+count of sets visited and the sets it kept.  A negative coefficient,
+which the paper rules out, that no selected check fails is an error in
+verify_set and in the sweep alike.
 """
 
 import itertools
@@ -27,11 +30,11 @@ import struct
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Callable, Container, Iterable
+from collections.abc import Callable, Container, Iterable, Iterator
 from operator import add, ge, lshift, mul, or_
 from types import MappingProxyType
 
-from peakpoly.engine import NegativeCoefficientError, _peak_coefficients, _recursion_counts
+from peakpoly.engine import _negative, _peak_coefficients, _recursion_counts
 from peakpoly.intpoly import _trimmed
 from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
@@ -290,7 +293,11 @@ def verify_set(positions: Iterable[int],
         raise ValueError(f"n_max must be >= {bound}, got {n_max}")
     if k_extra < 0 and "positivity" in names:  # else positivity would scan no centre
         raise ValueError(f"k_max must be >= max(S) = {m}, got {m + k_extra}")
-    return _verify(s, _peak_coefficients(s), names, m + k_extra, n_max, max_n)
+    raw = _peak_coefficients(s)
+    report = _verify(s, raw, names, m + k_extra, n_max, max_n)
+    if report.passed and min(raw, default=0) < 0:  # no selected check sees its c_j < 0
+        raise _negative(s, raw, "no selected check fails on it")
+    return report
 
 
 class SweepSummary(namedtuple("SweepSummary",
@@ -315,9 +322,9 @@ class SweepSummary(namedtuple("SweepSummary",
 
 
 def _signed(entry: int, width: int, high: int) -> tuple[int, ...]:
-    """The coefficients of an entry that trips, exactly, trimmed: its
-    digits lie in [-2^(W-1), 2^(W-1)), and entry + high holds each one
-    moved up by 2^(W-1), in one limb."""
+    """The coefficients of an entry that trips (see _walk), exactly,
+    trimmed: its digits lie in [-2^(W-1), 2^(W-1)), and entry + high holds
+    each one moved up by 2^(W-1), in one limb."""
     half = 1 << width - 1
     data = (entry + high).to_bytes(high.bit_length() // 8, "little")
     return _trimmed([c - half for c in _unpack(data, width)])
@@ -352,32 +359,35 @@ def _limb_bound(top: int) -> int:
     return max(max(b) for b in beta[top].values())
 
 
-def _walk(top: int, roots: Container[int], width: int,
-          visit: Callable[[PeakSet, int], object]) -> None:
-    """visit(t, p_t packed into one int) for each admissible t with
+def _walk(top: int, roots: Container[int],
+          width: int) -> Iterator[tuple[PeakSet, int, tuple[int, ...] | None]]:
+    """(t, p_t packed into one int, None) for each admissible t with
     max(t) <= top and first element in roots, depth first over the prefix
     tree of admissible sets, children in increasing last element: in
     lexicographic order: the sweep's build.  Every singleton {k} is
     stepped, as each is the next one's previous sibling, but only those in
-    roots are visited and walked below.  A visit that returns true prunes
-    t's subtree and its later siblings, the sets built from t.  Limb j,
+    roots are yielded and walked below.  A t that trips, some c_j < 0, is
+    yielded with its coefficients (_signed) in place of None, and nothing
+    is built from it: neither its subtree nor its later siblings.  Limb j,
     width bits wide, holds c_j at centre m = max(t), by engine._chain's step: the
     frame of t's parent u holds u's entry a, a Pascal step on per child
     (a + (a >> width)); b, the previous sibling's (0 for the first child);
     ROW, limb j C(m, j + 1), one step on per child.  The step is
     x = 2a + b, P = (a & MASK) ROW - x - (x >> width).
 
-    No step carries: a and b did not trip (or t would be pruned; no
-    singleton trips), so are exact with limbs in [0, 2^(width-1)), and the
-    stepped a and x add nonnegative limbs below _limb_bound < 2^(width-1).
-    Packing is linear, so P = sum of c_j 2^(j width), j < m, exactly,
-    |c_j| < 2^(width-1); and an integer has one expansion in digits from
-    [-2^(width-1), 2^(width-1)).  So if all c_j >= 0, they are P's digits,
-    no top bit set, and P < 2^(m width); if some c_j < 0, P < 0 or a digit
-    has its top bit set: the trip, P < 0 or a top bit set, is some c_j < 0,
-    and an entry that does not trip is exact, in m limbs.
+    No step carries, given _limb_bound(top) < 2^(width-1): a and b did not
+    trip (else t would not be built; no singleton trips), so are exact with
+    limbs in [0, 2^(width-1)), and the stepped a and x add nonnegative
+    limbs below _limb_bound.  Packing is linear, so P = sum of c_j 2^(j width),
+    j < m, exactly, |c_j| < 2^(width-1); and an integer has one expansion
+    in digits from [-2^(width-1), 2^(width-1)).  So if all c_j >= 0, they
+    are P's digits, no top bit set, and P < 2^(m width); if some c_j < 0,
+    P < 0 or a digit has its top bit set: the trip, P < 0 or a bit of HIGH
+    (each limb's top bit) set, is some c_j < 0, and an entry that does not
+    trip is exact, in m limbs.
     """
     mask = (1 << width) - 1
+    high = ((1 << top * width) - 1) // mask << (width - 1)
     # a frame: u, a, b, the next child's m and its ROW
     frames = [((), 1, 0, 2, (1 << width) + 2)]
     while frames:
@@ -389,8 +399,10 @@ def _walk(top: int, roots: Container[int], width: int,
             row += (row << width) | 1
             if u or k in roots:
                 t = u + (k,)
-                if visit(t, b):
+                if b < 0 or b & high:
+                    yield t, b, _signed(b, width, high)
                     break
+                yield t, b, None
                 if k + 2 <= top:
                     # u resumes at its next child once t's subtree is walked
                     frames += [(u, a, b, k + 1, row),
@@ -526,20 +538,20 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
 
     One walk of the prefix tree builds each set from its parent and its
     previous sibling just before its checks (see _walk), so the sets
-    are canonical and admissible by construction and none is validated.
-    The sets of one maximum m are tested in batches of up to _BATCH
-    (_batch_cleared): a batch whose rows all have c_0 = 0 and c_1..c_(m-1)
-    > 0, and are log-concave with logconcavity selected, is cleared by one
-    C-level pass per coefficient column.  A batch is tested once full and
-    at the end of the walk, and its sets are counted then.  Each set of a
-    batch that is not cleared is kept, and at the end gets verify_set's
-    full report, kept if a check fails.  A set built with a negative
-    coefficient trips: it is kept and counted, and the walk prunes the sets
-    built from it, all of larger maximum.  The least trip in (max, lex)
-    order is the last set reported, as in a build in that order, and its
-    place in that order (_rank) is the number of sets checked; if no
-    selected check fails on it (log-concavity alone may not), the sweep
-    raises NegativeCoefficientError instead.
+    are canonical and admissible by construction and none is validated;
+    each set the walk yields is counted.  The sets of one maximum m are
+    tested in batches of up to _BATCH (_batch_cleared): a batch whose rows
+    all have c_0 = 0 and c_1..c_(m-1) > 0, and are log-concave with
+    logconcavity selected, is cleared by one C-level pass per coefficient
+    column.  A batch is tested once full and at the end of the walk.  Each
+    set of a batch that is not cleared is kept, and at the end gets
+    verify_set's full report, kept if a check fails.  A set that the walk
+    yields as a trip, with a negative coefficient, is kept with its
+    coefficients; the walk builds nothing from it.  The least trip in
+    (max, lex) order is the last set reported, as in a build in that
+    order, and its place in that order (_rank) is the number of sets
+    checked; if no selected check fails on it (log-concavity alone may
+    not), the sweep raises NegativeCoefficientError instead.
 
     The subtrees below the singletons {k} are independent once {k} is
     built: each process walks one group of them (_deal, _walk_groups) and
@@ -556,42 +568,32 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         raise ValueError(f"k_extra must be >= 0, got {k_extra}")
 
     logconcavity = "logconcavity" in names
-    # the least multiple of 64 bits with _limb_bound(m_max) < 2^(width-1),
-    # and 2^(width-1) in each of m_max limbs
+    # the least multiple of 64 bits with _limb_bound(m_max) < 2^(width-1)
     width = (_limb_bound(m_max).bit_length() // 64 + 1) * 64
-    high = ((1 << m_max * width) - 1) // ((1 << width) - 1) << (width - 1)
 
     def walk(group: list[int]) -> tuple[int, list]:
-        # the sets visited; kept rows (max, set, tripped, coefficients)
-        visited, kept = 0, []
+        # kept rows (max, set, tripped, coefficients)
+        kept, visited = [], 0
         # by maximum, the (set, entry) pairs not yet tested
         batches: list[list[tuple[PeakSet, int]]] = [[] for _ in range(m_max + 1)]
 
         def flush(m: int) -> None:
-            nonlocal visited
             batch = batches[m]
-            visited += len(batch)
             limbs, length = _rows(batch, m, width)
             if not _batch_cleared(limbs, length, m, logconcavity):
                 kept.extend((m, t, False, _trimmed(limbs[i * length:(i + 1) * length]))
                             for i, (t, _) in enumerate(batch))
             batch.clear()
 
-        def check(t: PeakSet, entry: int) -> bool | None:
-            nonlocal visited
+        for visited, (t, entry, signed) in enumerate(_walk(m_max, set(group), width), 1):
             m = t[-1]
-            # trips, some c_j < 0, exactly when entry < 0 or has a bit of
-            # high set (see _walk); _signed reads its coefficients
-            if entry < 0 or entry & high:
-                visited += 1
-                kept.append((m, t, True, _signed(entry, width, high)))
-                return True
+            if signed is not None:
+                kept.append((m, t, True, signed))
+                continue
             batch = batches[m]
             batch.append((t, entry))
             if len(batch) == _BATCH:
                 flush(m)
-
-        _walk(m_max, set(group), width, check)
         for m, batch in enumerate(batches):
             if batch:
                 flush(m)
@@ -614,7 +616,5 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         if not report.passed:
             failures.append(report)
         elif tripped:  # no selected check sees its c_j < 0
-            j = next(j for j, c in enumerate(raw) if c < 0)
-            raise NegativeCoefficientError(f"p_S for S = {{{','.join(map(str, s))}}} has c_{j} = "
-                                           f"{raw[j]} < 0; the sweep stops there, after {checked} sets")
+            raise _negative(s, raw, f"the sweep stops there, after {checked} sets")
     return SweepSummary(m_max, names, checked, tuple(failures), time.perf_counter() - start)

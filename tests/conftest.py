@@ -36,31 +36,32 @@ def plant_coefficients(monkeypatch):
 @pytest.fixture
 def plant_negative_limb(monkeypatch):
     """plant(target, j, *more): the set target is handed on with c_j = -1,
-    as a wrong build step would make it, to the test of its sign that
-    every set passes: in a sweep its packed entry, before it is unpacked;
-    in a single set's build its list, as the chain yields it.  more holds
-    further (target, j) pairs.  Each call replaces the last one's."""
+    as a wrong build step would make it: in a sweep the walk yields it as a
+    trip with those coefficients, after the walk's own sign test, so the
+    sets built from it are still built; in a single set's build the chain
+    yields its list so.  more holds further (target, j) pairs.  Each call
+    replaces the last one's."""
     import peakpoly.engine as engine
     import peakpoly.verify as verify
+    from peakpoly.intpoly import _trimmed
     walk, chain = verify._walk, engine._chain
 
     def plant(target, j, *more):
         targets = dict([(target, j), *more])
 
-        def planting(top, roots, width, visit):
-            def planted(t, entry):
-                if t in targets:
-                    j = targets[t]
-                    entry -= ((entry >> j * width) % (1 << width) + 1) << j * width
-                return visit(t, entry)
+        def negated(t, coeffs):
+            return [-1 if i == targets[t] else c for i, c in enumerate(coeffs)]
 
-            walk(top, roots, width, planted)
+        def planting(top, roots, width):
+            for t, entry, signed in walk(top, roots, width):
+                if t in targets:
+                    *_, (_, coeffs) = chain(t)
+                    signed = _trimmed(negated(t, coeffs))
+                yield t, entry, signed
 
         def planted_chain(s):
             for t, coeffs in chain(s):
-                if t in targets:
-                    coeffs = [-1 if i == targets[t] else c for i, c in enumerate(coeffs)]
-                yield t, coeffs
+                yield t, negated(t, coeffs) if t in targets else coeffs
 
         monkeypatch.setattr(verify, "_walk", planting)
         monkeypatch.setattr(engine, "_chain", planted_chain)

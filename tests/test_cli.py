@@ -1,8 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
+
+import pytest
 
 from peakpoly.cli import main
 from peakpoly.engine import count_via_formula
@@ -84,6 +87,72 @@ def test_table_csv_golden(capsys):
                            "--kmin", "0", "--kmax", "6", "--format", "csv")
     assert code == 0
     assert out == GOLDEN_TABLE_CSV
+
+
+GOLDEN_OUTPUTS = [
+    (("table", "--set", "2", "--jmax", "1", "--kmin", "2", "--kmax", "3", "--format", "json"),
+     '''{
+  "set": [
+    2
+  ],
+  "jmax": 1,
+  "kmin": 2,
+  "kmax": 3,
+  "cells": [
+    [
+      "0",
+      "1"
+    ],
+    [
+      "1",
+      "1"
+    ]
+  ]
+}
+'''),
+    (("count", "--set", "4,6", "--n", "8", "--format", "csv"), "method,count\nformula,3200\n"),
+    (("count", "--set", "4,6", "--n", "8", "--method", "all", "--format", "csv"),
+     "method,count\nformula,3200\nrecursion,3200\nbruteforce,3200\n"),
+    (("verify", "--set", "4,6", "--format", "csv"),
+     "check,passed,witness\npositivity,true,\norder-m-difference-zero,true,\n"
+     "zero-at-max,true,\ndegree,true,\nlogconcavity,true,\n"),
+    (("enumerate", "--n", "2", "--format", "json"),
+     '''{
+  "n": 2,
+  "permutations": [
+    [
+      1,
+      2
+    ],
+    [
+      2,
+      1
+    ]
+  ]
+}
+'''),
+    (("enumerate", "--n", "3", "--format", "csv"),
+     "entries\n1 2 3\n1 3 2\n2 1 3\n2 3 1\n3 1 2\n3 2 1\n"),
+    (("enumerate", "--n", "4", "--group-by-peaks", "--format", "csv"),
+     "peak_set,count\n,8\n2,8\n3,8\n"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_OUTPUTS])
+def test_output_formats_golden(capsys, argv, golden):
+    assert run_cli(capsys, *argv) == (0, golden, "")
+
+
+def test_sweep_csv_golden(capsys):
+    # every field but elapsed_seconds is pinned
+    code, out, err = run_cli(capsys, "sweep", "--max-m", "6", "--format", "csv")
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert header == "m_max,checks,sets_checked,failures,elapsed_seconds"
+    *fields, elapsed = row.split(",")
+    assert fields == ["6", "positivity logconcavity", "12", "0"]
+    assert re.fullmatch(r"\d+\.\d{3}", elapsed)
 
 
 def test_table_text_small(capsys):
@@ -227,7 +296,7 @@ def test_log_concavity_check_catches_a_planted_dip(capsys, plant_coefficients):
 
 
 def test_a_negative_limb_exits_3_naming_its_set(capsys, plant_negative_limb):
-    # c_1 = -1 planted in p_{3,5}'s packed entry: the sweep lists that set
+    # c_1 = -1 planted in p_{3,5} as the walk yields it: the sweep lists that set
     # with its positivity witness and stops there; a set built from it,
     # here {3,5,8}, is refused with one error line naming {3,5}
     plant_negative_limb((3, 5), 1)
@@ -243,6 +312,30 @@ def test_a_negative_limb_exits_3_naming_its_set(capsys, plant_negative_limb):
         code, out, err = run_cli(capsys, command, "--set", "3,5,8")
         assert (code, out) == (3, ""), command
         assert err == "error: p_S for S = {3,5} has c_1 = -1 < 0; {3,5,8} is not built\n"
+
+
+def test_a_negative_coefficient_that_log_concavity_passes_exits_3(capsys, plant_negative_limb):
+    # c_1 = -1 planted in {3,5}'s chain: log-concavity alone passes it, so
+    # verify prints no report and one error line naming the coefficient;
+    # positivity fails it, a report and exit 3
+    plant_negative_limb((3, 5), 1)
+    code, out, err = run_cli(capsys, "verify", "--set", "3,5", "--checks", "logconcavity")
+    assert (code, out) == (3, "")
+    assert err == "error: p_S for S = {3,5} has c_1 = -1 < 0; no selected check fails on it\n"
+    code, out, err = run_cli(capsys, "verify", "--set", "3,5")
+    assert (code, err) == (3, "")
+    assert "positivity: FAIL (witness=(1, 5))" in out
+
+
+def test_a_closure_past_the_cap_exits_1_with_one_error_line(capsys, monkeypatch):
+    # {2,4,6}'s closure has 8 sets, past a cap of 7
+    monkeypatch.setattr("peakpoly.engine._CLOSURE_CAP", 7)
+    for argv in (("count", "--set", "2,4,6", "--n", "9", "--method", "recursion"),
+                 ("count", "--set", "2,4,6", "--n", "9", "--method", "all"),
+                 ("verify", "--set", "2,4,6", "--checks", "counts")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: the closure of {2,4,6} under derived sets has more than 7 sets\n"
 
 
 def test_poly_json_round_trips_into_formula_count(capsys):
@@ -394,18 +487,18 @@ def test_exit_codes_via_subprocess():
     assert _run_module("poly", "--set", "1").returncode == 2
     assert _run_module("poly", "--set", "2,2").returncode == 1
     assert _run_module("nonsense").returncode == 1
-    # 3: a child plants c_1 = -1 in p_{3,5}'s packed entry, and the sweep
-    # fails positivity there
+    # 3: a child plants c_1 = -1 in p_{3,5} as the walk yields it, and the
+    # sweep fails positivity there
     result = _run_planted("sweep", "--max-m", "8")
     assert result.returncode == 3, result.stderr
     assert "FAIL {3,5}: positivity" in result.stdout
 
 
 def _run_planted(*argv):
-    # the CLI in a child that plants c_1 = -1 in p_{3,5}'s packed entry
+    # the CLI in a child where the walk yields {3,5} as a trip with c_1 = -1
     plant = ("import sys, peakpoly.verify as verify, peakpoly.cli as cli; walk = verify._walk; "
-             "verify._walk = lambda top, roots, w, visit: walk(top, roots, w, lambda t, p: visit("
-             "t, p - ((p >> w) % (1 << w) + 1 << w) if t == (3, 5) else p)); "
+             "verify._walk = lambda top, roots, w: ((t, p, (0, -1, 18, 10, 2) if t == (3, 5) "
+             "else c) for t, p, c in walk(top, roots, w)); "
              f"sys.exit(cli.main({list(argv)!r}))")
     return subprocess.run([sys.executable, "-c", plant], capture_output=True, text=True)
 

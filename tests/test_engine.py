@@ -313,15 +313,12 @@ def _record_packed_passes(monkeypatch):
     # wrap the sweep's walk so each walk's (width, entries) is recorded
     walk, passes = verify._walk, []
 
-    def recording(top, roots, width, visit):
+    def recording(top, roots, width):
         entries = []
         passes.append((width, entries))
-
-        def keep(t, entry):
+        for t, entry, signed in walk(top, roots, width):
             entries.append((t, entry))
-            return visit(t, entry)
-
-        walk(top, roots, width, keep)
+            yield t, entry, signed
 
     monkeypatch.setattr(verify, "_walk", recording)
     return passes
@@ -344,20 +341,17 @@ def _record_chains(monkeypatch):
 
 
 def _walked(top, roots=None, width=64):
-    # (t, packed entry) for each set that the walk to top visits under the
-    # given roots (all by default), in its order; nothing is pruned, so a
-    # narrow width still visits every set
-    entries = []
+    # (t, packed entry) for each set that the walk to top yields under the
+    # given roots (all by default), in its order
     roots = range(2, top + 1) if roots is None else roots
-    verify._walk(top, roots, width, lambda t, entry: entries.append((t, entry)))
-    return entries
+    return [(t, entry) for t, entry, _ in verify._walk(top, roots, width)]
 
 
 def test_the_walk_visits_every_admissible_set_under_its_roots():
-    # with a visit that never prunes, the walk to top visits each
-    # admissible set of maximum <= top whose first element is a root, in
-    # lexicographic order; a singleton left out of the roots is still
-    # stepped, so the sets under the next root are built right
+    # with no trip, as no coefficient to 14 needs 63 bits, the walk to top
+    # yields each admissible set of maximum <= top whose first element is
+    # a root, in lexicographic order; a singleton left out of the roots is
+    # still stepped, so the sets under the next root are built right
     for top in range(2, 15):
         sets = sorted(structurally_admissible_sets(top))
         assert [t for t, _ in _walked(top)] == sets, top
@@ -367,6 +361,37 @@ def test_the_walk_visits_every_admissible_set_under_its_roots():
             walked = _walked(top, {root})
             assert [t for t, _ in walked] == [t for t in sets if t[0] == root], (top, root)
             assert all(whole[t] == entry for t, entry in walked), (top, root)
+
+
+def test_the_walk_builds_nothing_from_a_trip():
+    # at 64 bits, a set with a coefficient past 63 bits trips: the walk to
+    # 24 yields it with its decoded coefficients in place of None and
+    # builds neither its subtree nor its later siblings.  The reference
+    # finds the trips among the exact entries of a walk at 128 bits, where
+    # none trips, and drops each set built from one: a set with a trip as
+    # a proper prefix or as an earlier sibling of a prefix
+    exact = _walked(24, width=128)
+    assert len(exact) == 75024
+    over = sum(((1 << 128) - (1 << 63)) << j * 128 for j in range(24))
+    trips = {t for t, entry in exact if entry & over}
+
+    def built_from_a_trip(s):
+        return any(s[:i] + (v,) in trips for i in range(len(s))
+                   for v in range(s[i - 1] + 2 if i else 2, s[i] + (i + 1 < len(s))))
+
+    kept = [t for t, _ in exact if not built_from_a_trip(t)]
+    walked = list(verify._walk(24, range(2, 25), 64))
+    assert [t for t, _, _ in walked] == kept and len(kept) == 72054
+
+    def limbs(t, entry, width):
+        return verify._unpack(entry.to_bytes(t[-1] * width // 8, "little"), width)
+
+    entries = dict(exact)
+    assert all(limbs(t, entry, 64) == limbs(t, entries[t], 128)
+               for t, entry, signed in walked if signed is None)
+    tripped = [t for t, _, signed in walked if signed is not None]
+    assert set(tripped) == trips.intersection(kept)
+    assert len(tripped) == 16374 and sum(t[-1] < 24 for t in tripped) == 2970
 
 
 def _sizes(sets):
@@ -502,9 +527,9 @@ def _pivot_packed(sets, width):
 
 def test_the_three_term_step_packs_what_the_paper_recursion_packs():
     # every packed int of the walk to 22, at its own width, equals the one
-    # that the derived-set recursion makes; none trips, and each unpacks
-    # to the coefficients that the list chain builds.  The walk visits the
-    # sets in lexicographic order, the recursion in (max, lex) order
+    # that the derived-set recursion makes and unpacks to the coefficients
+    # that the list chain builds, so none trips.  The walk yields the sets
+    # in lexicographic order, the recursion in (max, lex) order
     import peakpoly.engine as engine
     from peakpoly.intpoly import _trimmed
     sets = structurally_admissible_sets(22)
@@ -512,8 +537,6 @@ def test_the_three_term_step_packs_what_the_paper_recursion_packs():
     assert width == 128
     walked = _walked(22, width=width)
     assert walked == sorted(_pivot_packed(sets, width))
-    high = sum(1 << width - 1 << j * width for j in range(22))
-    assert not any(packed < 0 or packed & high for _, packed in walked)
     for t, packed in walked:
         limbs = verify._unpack(packed.to_bytes(22 * width // 8, "little"), width)
         assert _trimmed(limbs) == engine._peak_coefficients(t), t
@@ -604,6 +627,25 @@ def test_the_recursion_route_shares_no_build_code_with_the_formula_route(monkeyp
         monkeypatch.setattr(engine, name, refuse)
     monkeypatch.setattr(intpoly, "_shift_center", refuse)
     assert [count_via_recursion(s, n) for s, n in cases] == expected
+
+
+def test_a_closure_of_more_sets_than_the_cap_is_refused(monkeypatch):
+    # {2,4,6}'s closure has 8 sets: a cap of 8 walks it, and a cap of 7
+    # refuses it as the walk finds the eighth, in every route that walks a
+    # closure; the formula route walks none
+    import peakpoly.engine as engine
+    assert engine._CLOSURE_CAP == 100_000
+    expected = count_via_formula((2, 4, 6), 9)
+    monkeypatch.setattr(engine, "_CLOSURE_CAP", 8)
+    assert len(engine._closure((2, 4, 6))) == 8
+    assert count_via_recursion((2, 4, 6), 9) == expected
+    monkeypatch.setattr(engine, "_CLOSURE_CAP", 7)
+    assert count_via_formula((2, 4, 6), 9) == expected
+    message = "^the closure of {2,4,6} under derived sets has more than 7 sets$"
+    for walk in (lambda: engine._closure((2, 4, 6)), lambda: count_via_recursion((2, 4, 6), 9),
+                 lambda: verify.verify_set((2, 4, 6), ("counts",))):
+        with pytest.raises(EnumerationCapError, match=message):
+            walk()
 
 
 def test_the_recursion_switches_a_set_on_past_its_maximum():

@@ -133,14 +133,14 @@ def _verdicts_match_witnesses(report):
 
 def _spoil(t, raw):
     """A wrong coefficient tuple for some sets t, each failing another check:
-    c_3 lowered to 1 (logconcavity where it dips), c_1 negated (positivity),
+    c_3 lowered to 1 (logconcavity where it dips), c_1 = 0 (positivity),
     c_0 = 1 (zero-at-max), one coefficient past degree m - 1 (degree and
     order-m-difference-zero); the rest kept."""
     kind = sum(t) % 5
     if kind == 0 and len(raw) > 4:
         return raw[:3] + (1,) + raw[4:]
     if kind == 1:
-        return (0, -raw[1]) + raw[2:]
+        return (0, 0) + raw[2:]
     if kind == 2:
         return (1,) + raw[1:]
     if kind == 3:
@@ -615,26 +615,24 @@ def test_a_failing_set_just_after_a_trip_is_not_reported(monkeypatch, plant_coef
 
 
 def test_a_trip_prunes_only_the_sets_built_from_it(monkeypatch, plant_negative_limb):
-    # after (3, 6) trips, the walk passes over its subtree and its later
-    # siblings (3, 7)..(3, 12) with theirs, whose entries are built from
-    # it, and hands out every other set, of any maximum; the summary still
-    # ends at (3, 6), and the sets checked are its place in (max, lex) order
+    # (3, 6) is planted after the walk's own sign test, so the walk still
+    # hands out every set (test_the_walk_builds_nothing_from_a_trip pins
+    # the prune); the sweep reports what a build that pruned the sets
+    # built from (3, 6) would: the summary ends at (3, 6), and the sets
+    # checked are its place in (max, lex) order
     import peakpoly.verify as verify
     sets = structurally_admissible_sets(12)
     plant_negative_limb((3, 6), 1)
     walk, handed = verify._walk, []
 
-    def recording(top, roots, width, visit):
-        def record(t, entry):
-            handed.append(t)
-            return visit(t, entry)
-
-        walk(top, roots, width, record)
+    def recording(top, roots, width):
+        for item in walk(top, roots, width):
+            handed.append(item[0])
+            yield item
 
     monkeypatch.setattr(verify, "_walk", recording)
     summary = sweep(12)
-    # the sets built from (3, 6): those after it in (3,)'s subtree
-    assert handed == [t for t in sorted(sets) if not (t[0] == 3 and t > (3, 6))]
+    assert handed == sorted(sets)
     assert [report.positions for report in summary.failures] == [(3, 6)]
     assert summary.sets_checked == sets.index((3, 6)) + 1
 
@@ -678,9 +676,9 @@ def test_without_fork_the_workers_run_in_this_process(monkeypatch, fork):
         monkeypatch.setattr(os, "fork", refuse)
     walk, pids = verify._walk, []
 
-    def recording(top, roots, width, visit):
+    def recording(top, roots, width):
         pids.append(os.getpid())
-        walk(top, roots, width, visit)
+        yield from walk(top, roots, width)
 
     monkeypatch.setattr(verify, "_walk", recording)
     assert _fields(sweep(12, workers=2)) == _fields(one)
@@ -717,12 +715,12 @@ def test_a_failed_worker_s_group_is_walked_here(monkeypatch, plant_coefficients,
     one = sweep(12)
     parent, walk, walks = os.getpid(), verify._walk, []
 
-    def walking(top, roots, width, visit):
+    def walking(top, roots, width):
         if os.getpid() == parent:
             walks.append(roots)
         elif failure == "exit":
             os._exit(1)
-        walk(top, roots, width, visit)
+        yield from walk(top, roots, width)
 
     monkeypatch.setattr(verify, "_walk", walking)
     if failure == "status":
@@ -744,11 +742,11 @@ def test_no_worker_outlives_a_sweep_that_raises(monkeypatch):
     import peakpoly.verify as verify
     walk, parent = verify._walk, os.getpid()
 
-    def failing(top, roots, width, visit):
+    def failing(top, roots, width):
         if os.getpid() == parent:
             raise RuntimeError("planted")
         time.sleep(60)
-        walk(top, roots, width, visit)
+        yield from walk(top, roots, width)
 
     monkeypatch.setattr(verify, "_walk", failing)
     pids = _forks(monkeypatch)
@@ -792,14 +790,11 @@ def test_sweep_builds_in_set_order_without_a_closure_walk(monkeypatch):
     walk = verify._walk
     passes, steps = [], []
 
-    def counting(top, roots, width, visit):
+    def counting(top, roots, width):
         passes.append(width)
-
-        def step(t, entry):
-            steps.append(t)
-            return visit(t, entry)
-
-        walk(top, roots, width, step)
+        for item in walk(top, roots, width):
+            steps.append(item[0])
+            yield item
 
     monkeypatch.setattr(engine, "_closure", refuse)
     monkeypatch.setattr(verify, "_walk", counting)
@@ -901,10 +896,10 @@ def test_a_negative_limb_trips_and_ends_the_build(plant_negative_limb):
 def test_a_trip_ends_the_sweep_in_max_lex_order_not_in_walk_order(monkeypatch,
                                                                    plant_negative_limb):
     # (2, 8) trips first in the walk's lexicographic order and (5, 7) first
-    # in the sweep's (max, lex) order: a trip prunes only the sets built
-    # from it, here (5, 7)'s later sibling (5, 8), so the walk goes on past
-    # (2, 8) to (5, 7), and the sweep reports what a build in (max, lex)
-    # order would, ending at (5, 7)
+    # in the sweep's (max, lex) order: the walk goes on past (2, 8) to
+    # (5, 7) (planted after the walk's own sign test, neither prunes), and
+    # the sweep reports what a build in (max, lex) order would, ending at
+    # (5, 7)
     import peakpoly.verify as verify
     sets = structurally_admissible_sets(8)
     assert sorted([(2, 8), (5, 7)]) == [(2, 8), (5, 7)]
@@ -912,18 +907,16 @@ def test_a_trip_ends_the_sweep_in_max_lex_order_not_in_walk_order(monkeypatch,
     plant_negative_limb((2, 8), 1, ((5, 7), 1))
     walk, handed = verify._walk, []
 
-    def recording(top, roots, width, visit):
-        def record(t, entry):
-            handed.append(t)
-            return visit(t, entry)
-
-        walk(top, roots, width, record)
+    def recording(top, roots, width):
+        for item in walk(top, roots, width):
+            handed.append(item[0])
+            yield item
 
     monkeypatch.setattr(verify, "_walk", recording)
     summary = sweep(8)
     assert [report.positions for report in summary.failures] == [(5, 7)]
     assert summary.sets_checked == sets.index((5, 7)) + 1
-    assert handed == [s for s in sorted(sets) if s != (5, 8)]
+    assert handed == sorted(sets)
     # log-concavity alone passes (5, 7)'s c_1 = -1, so that sweep is an error
     with pytest.raises(NegativeCoefficientError, match=re.escape(
             f"{{5,7}} has c_1 = -1 < 0; the sweep stops there, after {summary.sets_checked} sets")):
@@ -951,6 +944,23 @@ def test_a_trip_that_no_selected_check_fails_is_an_error(plant_negative_limb, wo
     (report,) = summary.failures
     assert report.positions == (2, 5, 8)
     assert [(c.name, c.witness) for c in report.checks] == [("logconcavity", 3)]
+
+
+def test_a_set_that_no_selected_check_fails_with_a_negative_coefficient_is_an_error(
+        plant_negative_limb):
+    # verify_set's form of the sweep's rule: with c_1 = -1 planted in
+    # {3,5}'s chain, log-concavity alone passes it, so verify_set raises
+    # rather than report a pass; positivity fails it, a report
+    plant_negative_limb((3, 5), 1)
+    message = "^" + re.escape("p_S for S = {3,5} has c_1 = -1 < 0; "
+                              "no selected check fails on it") + "$"
+    for verify in (lambda: verify_set((3, 5), ("logconcavity",)),
+                   lambda: verify_log_concavity((3, 5))):
+        with pytest.raises(NegativeCoefficientError, match=message):
+            verify()
+    report = verify_set((3, 5))
+    assert report.coefficients == (0, -1, 18, 10, 2, 0)
+    assert [(c.name, c.witness) for c in report.checks if not c.passed] == [("positivity", (1, 5))]
 
 
 def test_sweep_lists_no_sets(monkeypatch):
