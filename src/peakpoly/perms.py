@@ -7,12 +7,15 @@ strictly increasing positions; the empty tuple is a valid peak set.
 
 The exact count of S_n by peak set in this module is the ground-truth
 oracle for everything else in the package.  It covers all n! permutations
-without visiting each one: every permutation is exactly one head (its first
-n // 3 entries) followed by one tail pattern (the relative order of the
-rest), and each peak depends only on the head, on the tail pattern, or on
-the few values where the two meet (see _peak_set_counts).  Listing the
-permutations themselves still visits all n! of them.  Both refuse to run
-above a configurable cap instead of grinding for hours.
+without visiting each one: every permutation is exactly one head pattern
+(the relative order of its first n // 2 entries), one tail pattern (that of
+the rest) and one split of the values between the two, and each peak
+depends only on the head pattern, on the tail pattern, or on one comparison
+where the two meet (see _peak_set_counts).  So S_n is counted in
+h! + t! + C(n, h) steps plus a pass over pairs of classes, with no formula
+and no peak theory.  Listing the permutations themselves still visits all
+n! of them.  Both refuse to run above a configurable cap instead of
+grinding for hours.
 """
 
 import itertools
@@ -145,43 +148,56 @@ def ensure_within_cap(n: int, max_n: int = DEFAULT_ENUMERATION_CAP) -> None:
 def _peak_set_counts(n: int) -> dict[PeakSet, int]:
     """Exact peak-set counts of S_n, keyed in (max position, positions) order.
 
-    Every permutation is one head pi_1..pi_h (h = n // 3) followed by a tail
-    whose relative order is one permutation of range(n - h).  Peaks before h
-    lie in the head and peaks after h + 1 lie in the tail pattern; the peak
-    at h reads the head's last two values and the tail's first, and the peak
-    at h + 1 reads the head's last value, the tail's first and whether the
-    tail falls after it.  So S_(n-h) is scanned once into a table of tail
-    patterns, and each head is matched against every table row, taking the
-    tail's first value from the sorted values the head leaves.
+    Every permutation is exactly one triple: a head pattern (the relative
+    order of its first h = n // 2 entries), a tail pattern (that of the other
+    t = n - h) and the set A of the h values that go to the head, the tail
+    taking the rest, B.  Peaks before h read the head pattern alone and peaks
+    after h + 1 the tail pattern alone.  The peak at h needs the head to rise
+    into its last entry and A[rank of the head's last] > B[rank of the
+    tail's first]; the peak at h + 1 needs the opposite comparison and the
+    tail to fall after its first entry.  So S_h and S_t are each scanned
+    once into classes, the C(n, h) value sets once into a table of how many
+    sets win each comparison, and every pair of classes adds to the key
+    with the peak at h and to the key with the peak at h + 1.
     """
-    h = n // 3
+    h = n // 2
     t = n - h
-    # (rank of the tail's first value, whether the tail falls after it)
-    #   -> peaks inside the tail, at their positions in S_n -> tail patterns
-    tails: dict[tuple[int, bool], dict[PeakSet, int]] = {}
-    for tail in itertools.permutations(range(t)):
-        inner = tuple([h + i for i in range(2, t) if tail[i - 2] < tail[i - 1] > tail[i]])
-        row = tails.setdefault((tail[0], t > 1 and tail[0] > tail[1]), {})
-        row[inner] = row.get(inner, 0) + 1
-    # (peaks at positions <= h + 1, tail row) -> number of heads
-    heads: dict[tuple[PeakSet, tuple[int, bool]], int] = {}
-    values = range(1, n + 1)
-    for head in itertools.permutations(values, h):
-        rest = sorted(set(values).difference(head))
-        peaks = tuple([i for i in range(2, h) if head[i - 2] < head[i - 1] > head[i]])
-        for row in tails:
-            rank, falls = row
-            first = rest[rank]
-            key = peaks
-            if h >= 2 and head[-2] < head[-1] > first:
-                key += (h,)
-            if h >= 1 and head[-1] < first and falls:
-                key += (h + 1,)
-            heads[key, row] = heads.get((key, row), 0) + 1
+    if not h:  # n = 1: no join, no peak
+        return {(): 1}
+    # (peaks before h, rank of the last entry, whether the head rises into it) -> heads
+    heads: dict[tuple[PeakSet, int, bool], int] = {}
+    for p in itertools.permutations(range(h)):
+        key = (tuple([i for i in range(2, h) if p[i - 2] < p[i - 1] > p[i]]),
+               p[-1], h > 1 and p[-2] < p[-1])
+        heads[key] = heads.get(key, 0) + 1
+    # (peaks after h + 1, rank of the first entry, whether the tail falls after it) -> tails
+    tails: dict[tuple[PeakSet, int, bool], int] = {}
+    for p in itertools.permutations(range(t)):
+        key = (tuple([h + i for i in range(2, t) if p[i - 2] < p[i - 1] > p[i]]),
+               p[0], t > 1 and p[0] > p[1])
+        tails[key] = tails.get(key, 0) + 1
+    # greater[a][b]: the value sets A with A[a] > B[b]; splits: all of them
+    greater = [[0] * t for _ in range(h)]
+    splits = 0
+    values = range(n)
+    for head in itertools.combinations(values, h):
+        tail = [v for v in values if v not in head]
+        splits += 1
+        for row, x in zip(greater, head):
+            for b, y in enumerate(tail):
+                if y > x:
+                    break
+                row[b] += 1
     counts: dict[PeakSet, int] = {}
-    for (key, row), times in heads.items():
-        for inner, tally in tails[row].items():
-            counts[key + inner] = counts.get(key + inner, 0) + times * tally
+    for (before, a, rises), times in heads.items():
+        at_h = before + (h,) if rises else before
+        for (after, b, falls), tally in tails.items():
+            pairs = times * tally
+            above = pairs * greater[a][b]
+            key = at_h + after
+            counts[key] = counts.get(key, 0) + above
+            key = (before + (h + 1,) if falls else before) + after
+            counts[key] = counts.get(key, 0) + pairs * splits - above
     return {s: counts[s] for s in sorted(counts, key=lambda s: (s[-1] if s else 0, s))}
 
 
@@ -190,8 +206,9 @@ def enumerate_by_peak_set(n: int, max_n: int = DEFAULT_ENUMERATION_CAP) -> dict[
 
     Values sum to n!; only peak sets that actually occur appear as keys, in
     (max position, positions) order.  The count is exact over all of S_n
-    without visiting each permutation: it pairs every head of n // 3
-    entries with every relative order of the remaining tail.
+    without visiting each permutation: it pairs every head pattern of
+    n // 2 entries with every tail pattern, weighted by how many splits of
+    the values put a peak at either side of the join.
     """
     ensure_within_cap(n, max_n)
     return dict(_peak_set_counts(n))

@@ -34,6 +34,7 @@ from collections.abc import Callable, Container, Iterable, Iterator
 from operator import add, ge, lshift, mul, or_
 from types import MappingProxyType
 
+from peakpoly import perms
 from peakpoly.engine import _negative, _peak_coefficients, _recursion_counts
 from peakpoly.intpoly import _trimmed
 from peakpoly.perms import (
@@ -42,7 +43,6 @@ from peakpoly.perms import (
     PeakSet,
     _admissible,
     as_peak_set,
-    enumerate_by_peak_set,
 )
 
 SWEEP_CHECKS = ("positivity", "logconcavity")
@@ -215,7 +215,9 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
             for n, recursion in zip(range(m + 1, n_max + 1), recursion_column):
                 values[:-1] = map(add, values, values[1:])
                 formula = values[0] << (n - len(s) - 1)
-                brute = enumerate_by_peak_set(n, max_n).get(s, 0) if n <= max_n else None
+                # read in place, not copied by enumerate_by_peak_set nor
+                # validated again by count_bruteforce
+                brute = perms._peak_set_counts(n).get(s, 0) if n <= max_n else None
                 rows[str(n)] = {
                     "formula": str(formula),
                     "recursion": str(recursion),

@@ -338,6 +338,20 @@ def test_a_closure_past_the_cap_exits_1_with_one_error_line(capsys, monkeypatch)
         assert err == "error: the closure of {2,4,6} under derived sets has more than 7 sets\n"
 
 
+def test_a_closure_past_the_real_cap_is_left_to_the_formula_route(capsys):
+    # {5,10,20,40,80}'s closure has 200,000 sets: the recursion route refuses
+    # it after its walk (about 0.7 s whole CLI), while the formula route
+    # builds the set's chain of 75 sets
+    code, out, err = run_cli(capsys, "count", "--set", "5,10,20,40,80", "--n", "81")
+    assert (code, err) == (0, "")
+    assert int(out) == count_via_formula((5, 10, 20, 40, 80), 81) > 0
+    code, out, err = run_cli(capsys, "count", "--set", "5,10,20,40,80", "--n", "81",
+                             "--method", "recursion")
+    assert (code, out) == (1, "")
+    assert err == ("error: the closure of {5,10,20,40,80} under derived sets"
+                   " has more than 100000 sets\n")
+
+
 def test_poly_json_round_trips_into_formula_count(capsys):
     for set_arg, n in (("4,6", 9), ("2", 7), ("3,5,8", 11)):
         code, out, _ = run_cli(capsys, "poly", "--set", set_arg, "--format", "json")

@@ -62,17 +62,18 @@ def test_enumerate_n1():
     assert enumerate_by_peak_set(1) == {(): 1}
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_enumerate_counts_sum_to_factorial(n):
-    counts = enumerate_by_peak_set(n)
+    counts = enumerate_by_peak_set(n, max_n=14)
     assert sum(counts.values()) == math.factorial(n)
     assert all(v > 0 for v in counts.values())
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_count_matches_listing_scan(n):
-    # the head x tail-pattern count against the scan that visits every
-    # permutation; n = 1..9 covers head lengths 0, 1, 2 and 3
+    # the head pattern x tail pattern x value split count against the scan
+    # that visits every permutation; with h = n // 2, n = 1..9 covers head
+    # lengths 0 to 4
     groups = group_permutations_by_peak_set(n, [()] + structurally_admissible_sets(n - 1))
     listed = {s: len(perms) for s, perms in groups.items() if perms}
     counts = enumerate_by_peak_set(n)
@@ -80,9 +81,52 @@ def test_count_matches_listing_scan(n):
     assert sum(counts.values()) == math.factorial(n)
 
 
+def _reference_peak_set_counts(n):
+    # the count over every head of n // 3 values: S_(n-h) is scanned once
+    # into a table of tail patterns keyed by the rank of the tail's first
+    # value and whether the tail falls after it, and each head is matched
+    # against every row, taking the tail's first value from the sorted
+    # values the head leaves
+    h = n // 3
+    t = n - h
+    tails = {}
+    for tail in itertools.permutations(range(t)):
+        inner = tuple([h + i for i in range(2, t) if tail[i - 2] < tail[i - 1] > tail[i]])
+        row = tails.setdefault((tail[0], t > 1 and tail[0] > tail[1]), {})
+        row[inner] = row.get(inner, 0) + 1
+    heads = {}
+    values = range(1, n + 1)
+    for head in itertools.permutations(values, h):
+        rest = sorted(set(values).difference(head))
+        peaks = tuple([i for i in range(2, h) if head[i - 2] < head[i - 1] > head[i]])
+        for row in tails:
+            rank, falls = row
+            first = rest[rank]
+            key = peaks
+            if h >= 2 and head[-2] < head[-1] > first:
+                key += (h,)
+            if h >= 1 and head[-1] < first and falls:
+                key += (h + 1,)
+            heads[key, row] = heads.get((key, row), 0) + 1
+    counts = {}
+    for (key, row), times in heads.items():
+        for inner, tally in tails[row].items():
+            counts[key + inner] = counts.get(key + inner, 0) + times * tally
+    return {s: counts[s] for s in sorted(counts, key=lambda s: (s[-1] if s else 0, s))}
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_pattern_split_count_matches_the_head_values_count(n):
+    # keys, key order and counts, up to a length the listing scan cannot reach
+    counts = enumerate_by_peak_set(n, max_n=11)
+    reference = _reference_peak_set_counts(n)
+    assert counts == reference
+    assert list(counts) == list(reference)
+
+
 def test_enumerate_keys_are_admissible_sets():
-    for n in range(1, 8):
-        for key in enumerate_by_peak_set(n):
+    for n in range(1, 15):
+        for key in enumerate_by_peak_set(n, max_n=14):
             assert is_structurally_admissible(key)
             assert not key or key[-1] <= n - 1
 
