@@ -23,6 +23,7 @@ from peakpoly.perms import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     InadmissibleSetError,
+    _format_set,
     as_peak_set,
     count_bruteforce,
     ensure_within_cap,
@@ -78,10 +79,6 @@ def _resolve_cap(cap: int | None) -> int:
     if cap < 1:
         raise _UsageError("enumeration cap must be >= 1")
     return cap
-
-
-def _format_set(positions) -> str:
-    return "{" + ",".join(str(v) for v in positions) + "}"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -317,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run checks on one peak set")
     p.add_argument("--set", required=True)
-    p.add_argument("--checks", default="positivity,logconcavity",
+    p.add_argument("--checks", default=",".join(SWEEP_CHECKS),
                    help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
     p.add_argument("--k-max", type=int, default=None,
                    help="positivity checked up to this center (default max+5)")

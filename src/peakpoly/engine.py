@@ -29,6 +29,7 @@ from peakpoly.perms import (
     PeakSet,
     Permutation,
     _admissible,
+    _format_set,
     _violation,
     as_peak_set,
     group_permutations_by_peak_set,
@@ -104,7 +105,7 @@ def _closure(s: PeakSet) -> list[tuple[PeakSet, list[PeakSet]]]:
     pending = [s]
     while pending:
         if len(found) > _CLOSURE_CAP:
-            raise EnumerationCapError(f"the closure of {{{','.join(map(str, s))}}} under derived "
+            raise EnumerationCapError(f"the closure of {_format_set(s)} under derived "
                                       f"sets has more than {_CLOSURE_CAP} sets")
         t = pending.pop()
         parts: list[PeakSet] = []
@@ -128,7 +129,7 @@ def _negative(t: PeakSet, coeffs: Iterable[int], then: str) -> NegativeCoefficie
     it names t and the first such c_j, then says what then follows."""
     j, c = next((j, c) for j, c in enumerate(coeffs) if c < 0)
     return NegativeCoefficientError(
-        f"p_S for S = {{{','.join(map(str, t))}}} has c_{j} = {c} < 0; {then}")
+        f"p_S for S = {_format_set(t)} has c_{j} = {c} < 0; {then}")
 
 
 def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
@@ -143,7 +144,7 @@ def _peak_coefficients(s: PeakSet) -> tuple[int, ...]:
         return ()
     for t, coeffs in _chain(s):
         if min(coeffs) < 0 and t != s:
-            raise _negative(t, coeffs, f"{{{','.join(map(str, s))}}} is not built")
+            raise _negative(t, coeffs, f"{_format_set(s)} is not built")
     return _trimmed(coeffs)
 
 

@@ -69,6 +69,11 @@ def as_peak_set(positions: Iterable[int]) -> PeakSet:
     return pos
 
 
+def _format_set(positions: Iterable[int]) -> str:
+    """The set as every message writes it: {3,5}, or {} when empty."""
+    return "{" + ",".join(map(str, positions)) + "}"
+
+
 def peak_set(perm: Iterable[int]) -> PeakSet:
     """The 1-based positions where the permutation rises then falls.
 

@@ -374,8 +374,11 @@ def _walk(top: int, roots: Container[int],
     width bits wide, holds c_j at centre m = max(t), by engine._chain's step: the
     frame of t's parent u holds u's entry a, a Pascal step on per child
     (a + (a >> width)); b, the previous sibling's (0 for the first child);
-    ROW, limb j C(m, j + 1), one step on per child.  The step is
-    x = 2a + b, P = (a & MASK) ROW - x - (x >> width).
+    and m.  ROW, limb j C(m, j + 1), depends on m alone: the walk steps
+    it once from m = 0 to top, into a table it reads.  The step is
+    x = 2a + b, P = (a & MASK) ROW - x - (x >> width).  The walk goes
+    down into t's first child at once and stacks u's frame, to resume at
+    t's next sibling: one frame per depth.
 
     No step carries, given _limb_bound(top) < 2^(width-1): a and b did not
     trip (else t would not be built; no singleton trips), so are exact with
@@ -390,15 +393,17 @@ def _walk(top: int, roots: Container[int],
     """
     mask = (1 << width) - 1
     high = ((1 << top * width) - 1) // mask << (width - 1)
-    # a frame: u, a, b, the next child's m and its ROW
-    frames = [((), 1, 0, 2, (1 << width) + 2)]
+    rows = [0, 1]  # rows[m]: ROW, limb j C(m, j + 1)
+    for _ in range(2, top + 1):
+        rows.append(rows[-1] + ((rows[-1] << width) | 1))
+    # a frame: u, a, b and the next child's m
+    frames = [((), 1, 0, 2)]
     while frames:
-        u, a, b, k, row = frames.pop()
-        for k in range(k, top + 1):
+        u, a, b, k = frames.pop()
+        while k <= top:
             a += a >> width
             x = 2 * a + b
-            b = (a & mask) * row - x - (x >> width)
-            row += (row << width) | 1
+            b = (a & mask) * rows[k] - x - (x >> width)
             if u or k in roots:
                 t = u + (k,)
                 if b < 0 or b & high:
@@ -407,9 +412,10 @@ def _walk(top: int, roots: Container[int],
                 yield t, b, None
                 if k + 2 <= top:
                     # u resumes at its next child once t's subtree is walked
-                    frames += [(u, a, b, k + 1, row),
-                               (t, b, 0, k + 2, row + ((row << width) | 1))]
-                    break
+                    frames.append((u, a, b, k + 1))
+                    u, a, b, k = t, b, 0, k + 2
+                    continue
+            k += 1
 
 
 def _rows(batch: list[tuple[PeakSet, int]], m: int,

@@ -976,8 +976,9 @@ def test_sweep_lists_no_sets(monkeypatch):
 
 
 def test_sweep_memory_is_one_frame_per_depth():
-    # the walk keeps a parent entry, a sibling entry and a row per depth,
-    # not a table of sets: a level-order table to 22 peaked at 10 MB
+    # the walk keeps a parent entry and a sibling entry per depth and one
+    # row per maximum, not a table of sets: a level-order table to 22
+    # peaked at 10 MB
     import tracemalloc
     tracemalloc.start()
     try:
