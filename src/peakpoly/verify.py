@@ -17,10 +17,11 @@ one decoded (_signed).  The sweep puts the coefficients of its sets, a
 batch of one maximum at a time, through a quick test (_batch_cleared)
 that only a batch with no witness in any set can pass, so a sweep that
 finds nothing builds no report; with workers, it walks the sets in
-forked processes, a group of subtrees each, and each sends back only its
-count of sets visited and the sets it kept.  A negative coefficient,
-which the paper rules out, that no selected check fails is an error in
-verify_set and in the sweep alike.
+forked processes, a group of subtrees each, pinned where it can be to a
+CPU other than the parent's, and each sends back only its count of sets
+visited and the sets it kept.  A negative coefficient, which the paper
+rules out, that no selected check fails is an error in verify_set and in
+the sweep alike.
 """
 
 import itertools
@@ -493,14 +494,32 @@ def _walk_groups(groups: list[list[int]], walk: Callable[[list[int]], object]) -
     group whose child exits nonzero or sends a truncated result.  No child
     outlives the call: on an exception each is killed, then reaped.  A
     process with other threads forks no child, which could deadlock on a
-    lock one of them held, and walks every group itself."""
+    lock one of them held, and walks every group itself.
+
+    The kernel may leave a forked child on its parent's CPU, where the
+    two share one CPU while another sits idle.  So child i (i = 1, 2, ...)
+    pins itself, first thing, to order[(i - 1) % len(order)]: the other
+    CPUs this process may run on, in sorted order, then its own, read
+    from field 39 of /proc/self/stat.  This process is never pinned.  No
+    child is pinned with one group, one allowed CPU, no readable /proc or
+    no sched_setaffinity, and a child whose pin fails walks unpinned."""
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
         groups = [[k for group in groups for k in group]]
+    order: list[int] = []
+    if len(groups) > 1:
+        try:
+            pin, allowed = os.sched_setaffinity, os.sched_getaffinity(0)
+            if len(allowed) > 1:
+                with open("/proc/self/stat", "rb") as stat:
+                    here = int(stat.read().rsplit(b")", 1)[1].split()[36])
+                order = sorted(allowed, key=lambda cpu: (cpu == here, cpu))
+        except (AttributeError, OSError, ValueError, IndexError):
+            pass
     children = []  # (pid, read end of its pipe, group)
     own, statuses = list(groups[0]), []
     try:
-        for group in groups[1:]:
+        for i, group in enumerate(groups[1:]):
             read, write = os.pipe()
             try:
                 pid = os.fork()  # AttributeError where there is no fork
@@ -512,6 +531,11 @@ def _walk_groups(groups: list[list[int]], walk: Callable[[list[int]], object]) -
             if pid == 0:
                 code = 1
                 try:
+                    if order:
+                        try:
+                            pin(0, {order[i % len(order)]})
+                        except OSError:
+                            pass
                     os.close(read)
                     with open(write, "wb") as pipe:
                         pipe.write(marshal.dumps(walk(group)))
@@ -562,10 +586,11 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     not), the sweep raises NegativeCoefficientError instead.
 
     The subtrees below the singletons {k} are independent once {k} is
-    built: each process walks one group of them (_deal, _walk_groups) and
-    returns its count and its kept sets.  Kept sets are ordered by
-    (max, set) and cut after the least trip.  So the summary does not
-    depend on the worker count.
+    built: each process walks one group of them (_deal, _walk_groups),
+    each forked one pinned to a CPU other than this process's while the
+    allowed CPUs last, and returns its count and its kept sets.  Kept
+    sets are ordered by (max, set) and cut after the least trip.  So the
+    summary does not depend on the worker count.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")

@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import marshal
 import multiprocessing.process
@@ -755,6 +757,117 @@ def test_no_worker_outlives_a_sweep_that_raises(monkeypatch):
         sweep(12, workers=3)
     assert len(pids) == 2 and time.monotonic() - start < 30
     _assert_no_child_left()
+
+
+_PLACEABLE = (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
+              and len(os.sched_getaffinity(0)) >= 2)
+
+
+@pytest.mark.skipif(not _PLACEABLE, reason="needs os.fork, sched_setaffinity and 2 CPUs")
+def test_each_forked_walker_starts_on_another_cpu(monkeypatch, tmp_path):
+    # child i walks pinned to the i-th of the other allowed CPUs, in
+    # sorted order, then the CPU that this process read as its own; this
+    # process's mask never changes
+    import peakpoly.verify as verify
+    one = sweep(12)
+    allowed, parent, walk, opened, here = os.sched_getaffinity(0), os.getpid(), verify._walk, builtins.open, []
+
+    def reading(file, *args, **kwargs):
+        if file != "/proc/self/stat":
+            return opened(file, *args, **kwargs)
+        with opened(file, "rb") as stat:
+            text = stat.read()
+        here.append(int(text.rsplit(b")", 1)[1].split()[36]))  # field 39, processor
+        return io.BytesIO(text)
+
+    def recording(top, roots, width):
+        if os.getpid() != parent:
+            (tmp_path / str(os.getpid())).write_text(
+                json.dumps([sorted(roots), sorted(os.sched_getaffinity(0))]))
+        yield from walk(top, roots, width)
+
+    monkeypatch.setattr(builtins, "open", reading)
+    monkeypatch.setattr(verify, "_walk", recording)
+    assert _fields(sweep(12, workers=3)) == _fields(one)
+    assert os.sched_getaffinity(0) == allowed
+    _assert_no_child_left()
+    (cpu,) = here
+    order = sorted(allowed - {cpu}) + [cpu]
+    placed = {tuple(roots): cpus for roots, cpus in
+              (json.loads(path.read_text()) for path in tmp_path.iterdir())}
+    groups = _deal(12, 3)
+    assert len(groups) == 3 and placed[tuple(groups[1])] != [cpu]
+    assert placed == {tuple(group): [order[i % len(order)]]
+                      for i, group in enumerate(groups[1:])}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("failure", ["raising", "missing", "unreadable"])
+def test_a_walker_that_cannot_be_placed_walks_its_group_unplaced(
+        monkeypatch, plant_coefficients, tmp_path, failure):
+    # a child whose pin raises, a missing sched_setaffinity or an unreadable
+    # /proc/self/stat: each child still walks its group and sends it back,
+    # so this process walks only its own
+    import peakpoly.verify as verify
+    plant_coefficients(_spoil)
+    one = sweep(12)
+    parent, walk, walks = os.getpid(), verify._walk, []
+
+    def walking(top, roots, width):
+        if os.getpid() == parent:
+            walks.append(roots)
+        yield from walk(top, roots, width)
+
+    monkeypatch.setattr(verify, "_walk", walking)
+    if failure == "raising":
+        def refuse(pid, cpus):
+            (tmp_path / str(os.getpid())).touch()
+            raise OSError("not permitted")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    elif failure == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        opened = builtins.open
+
+        def unreadable(file, *args, **kwargs):
+            if file == "/proc/self/stat":
+                raise PermissionError(13, "Permission denied", file)
+            return opened(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", unreadable)
+    pids = _forks(monkeypatch)
+    assert _fields(sweep(12, workers=3)) == _fields(one)
+    assert len(pids) == 2 and walks == [set(_deal(12, 3)[0])]
+    if failure == "raising" and _PLACEABLE:
+        assert len(list(tmp_path.iterdir())) == 2  # each child tried
+    _assert_no_child_left()
+
+
+def test_one_process_makes_no_affinity_call_and_reads_no_proc_file(monkeypatch):
+    # one group, from one worker or from M - 3 = 1 root with children, is
+    # walked here as it always was
+    expected = [_fields(sweep(12)), _fields(sweep(4))]
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("the sweep asked for a CPU affinity")
+
+    for name in ("sched_getaffinity", "sched_setaffinity"):
+        monkeypatch.setattr(os, name, refuse, raising=False)
+    opened = builtins.open
+
+    def no_proc(file, *args, **kwargs):
+        if str(file).startswith("/proc"):
+            calls.append(file)
+            raise AssertionError(f"the sweep opened {file}")
+        return opened(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_proc)
+    assert len(_deal(4, 64)) == 1
+    assert [_fields(sweep(12)), _fields(sweep(4, workers=64))] == expected
+    assert not calls
 
 
 def test_sweep_validates_no_set(monkeypatch):
