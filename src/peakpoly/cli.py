@@ -24,7 +24,6 @@ from peakpoly.perms import (
     EnumerationCapError,
     InadmissibleSetError,
     _format_set,
-    as_peak_set,
     count_bruteforce,
     ensure_within_cap,
     enumerate_by_peak_set,
@@ -46,19 +45,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
-    """Comma-separated 1-based positions; '' means the empty set.
+    """Comma-separated integers, as given; '' means the empty set.
 
-    as_peak_set rejects duplicates and descending order rather than
-    sorting them, to catch typos.
+    Every command hands them to a library entry that canonicalises the
+    set, rejecting duplicates and descending order rather than sorting them.
     """
     if text.strip() == "":
         return ()
     try:
-        values = [int(part) for part in text.split(",")]
+        return tuple([int(part) for part in text.split(",")])
     except ValueError:
         raise _UsageError(
             f"peak positions must be comma-separated integers, got {text!r}") from None
-    return as_peak_set(values)
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
@@ -198,8 +196,8 @@ def _render_report_text(report) -> str:
 def _cmd_verify(args) -> int:
     s, cap = args.set, args.enum_cap
     checks = _parse_checks(args.checks)
-    k_extra = 5 if args.k_max is None else args.k_max - (s[-1] if s else 0)
-    report = verify_set(s, checks, k_extra=k_extra, n_max=args.n_max, max_n=cap)
+    reach = {} if args.k_max is None else {"k_extra": args.k_max - (s[-1] if s else 0)}
+    report = verify_set(s, checks, **reach, n_max=args.n_max, max_n=cap)
 
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2))

@@ -247,8 +247,8 @@ def group_permutations_by_peak_set(n: int, wanted: Iterable[Iterable[int]],
 def permutations_with_peak_set(positions: Iterable[int], n: int,
                                max_n: int = DEFAULT_ENUMERATION_CAP) -> list[Permutation]:
     """All length-n permutations with exactly this peak set, lexicographic."""
-    s = as_peak_set(positions)
-    return group_permutations_by_peak_set(n, (s,), max_n=max_n)[s]
+    (group,) = group_permutations_by_peak_set(n, (positions,), max_n=max_n).values()
+    return group
 
 
 def structurally_admissible_sets(max_position: int) -> list[PeakSet]:

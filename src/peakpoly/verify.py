@@ -357,7 +357,7 @@ def _limb_bound(top: int) -> int:
             v, b = g[k - 1], below.get(k, [])
             x = [*map(add, map(add, v, v), b), *map(add, v[len(b):], v[len(b):]), *b[len(v):]]
             x += [0] * (m + 1 - len(x))
-            scaled = row if v[0] == 1 else map(mul, row, itertools.repeat(v[0]))  # 1 for size 1
+            scaled = map(mul, row, itertools.repeat(v[0]))
             level[k] = list(map(add, map(add, scaled, x), x[1:]))
     return max(max(b) for b in beta[top].values())
 

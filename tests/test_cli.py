@@ -69,6 +69,41 @@ def test_malformed_set_exits_1(capsys):
         assert err.startswith("error:")
 
 
+def test_a_malformed_set_is_reported_after_a_bad_cap(capsys):
+    # the CLI reads --set into integers only; the library that takes the
+    # set rejects it, after the cap has been read
+    code, out, err = run_cli(capsys, "count", "--set", "5,3", "--n", "6", "--enum-cap", "0")
+    assert (code, out, err) == (1, "", "error: enumeration cap must be >= 1\n")
+    code, out, err = run_cli(capsys, "count", "--set", "5,3", "--n", "6")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: peak positions must be strictly increasing")
+
+
+def test_each_set_is_canonicalised_once(capsys, monkeypatch):
+    import peakpoly.perms as perms
+    original = perms.as_peak_set
+    calls = []
+
+    def counting(positions):
+        s = original(positions)
+        calls.append(s)
+        return s
+
+    # raising=False: a module that does not bind as_peak_set gets a copy
+    # it never calls
+    for module in ("perms", "engine", "verify", "cli"):
+        monkeypatch.setattr(f"peakpoly.{module}.as_peak_set", counting, raising=False)
+    for argv in (("poly", "--set", "4,6"), ("table", "--set", "4,6"),
+                 ("verify", "--set", "4,6"),
+                 ("count", "--set", "4,6", "--n", "7", "--method", "formula")):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        assert calls == [(4, 6)], argv
+    calls.clear()
+    assert len(perms.permutations_with_peak_set((2,), 4)) == 8
+    assert calls == [(2,)]
+
+
 def test_empty_set_poly(capsys):
     code, out, _ = run_cli(capsys, "poly", "--set", "")
     assert code == 0
@@ -446,6 +481,18 @@ def test_sweep_unwritable_report_exits_1(capsys):
                            "--report", "/nonexistent/dir/out.json")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_a_report_that_cannot_be_renamed_leaves_no_temp_file(tmp_path, capsys):
+    # the report path is a directory: the temp file is written beside it,
+    # the rename onto the directory fails, and the temp file is removed
+    target = tmp_path / "report"
+    target.mkdir()
+    code, out, err = run_cli(capsys, "sweep", "--max-m", "5", "--report", str(target))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert os.listdir(tmp_path) == ["report"]
+    assert os.listdir(target) == []
 
 
 def test_sweep_rejects_counts_check(capsys):

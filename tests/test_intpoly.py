@@ -233,6 +233,10 @@ def test_add_examples():
     assert sum_polynomials([P46, BinomialPolynomial.zero()]) == P46
     assert sum_polynomials([BinomialPolynomial.zero(3), P46]) == P46
     assert sum_polynomials([]).is_zero
+    with pytest.raises(TypeError):
+        P2 + 1
+    with pytest.raises(TypeError):
+        1 + P2
 
 
 def test_add_recenters_to_largest_center():
@@ -249,6 +253,8 @@ def test_equality_is_functional():
     assert P46.recenter(0) == P46
     assert P46 != P2
     assert hash(P46.recenter(0)) == hash(P46)
+    assert (P2 == 1) is False
+    assert (P2 != 1) is True
 
 
 @settings(max_examples=60)

@@ -147,6 +147,8 @@ def test_admissibility_examples():
     assert not is_admissible((2, 3), 6)
     for n in (1, 2, 9):
         assert is_admissible((), n)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        is_admissible((2,), 0)
 
 
 def test_structural_violation_messages():
