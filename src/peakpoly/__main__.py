@@ -1,6 +1,4 @@
-import sys
-
-from peakpoly.cli import main
+from peakpoly.cli import run_and_exit
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

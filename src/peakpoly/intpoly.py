@@ -16,8 +16,6 @@ convolution b_j = sum_i C(s, i) * a_(j+i), so nothing ever leaves
 arbitrary-precision integers.  Coefficient j at centre k is (D^j f)(k).
 """
 
-import csv
-import io
 import itertools
 import math
 from collections import namedtuple
@@ -272,6 +270,8 @@ class DifferenceTable(namedtuple("DifferenceTable", "jmax kmin kmax cells")):
 
     def to_csv(self) -> str:
         r"""CSV with header 'j\k,kmin,...,kmax' and one row per order j."""
+        import csv  # here, not at the top: only a CSV table loads it
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["j\\k"] + [str(k) for k in range(self.kmin, self.kmax + 1)])

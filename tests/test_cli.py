@@ -555,13 +555,84 @@ def test_exit_codes_via_subprocess():
     assert "FAIL {3,5}: positivity" in result.stdout
 
 
-def _run_planted(*argv):
-    # the CLI in a child where the walk yields {3,5} as a trip with c_1 = -1
-    plant = ("import sys, peakpoly.verify as verify, peakpoly.cli as cli; walk = verify._walk; "
+def _run_planted(*argv, module=None):
+    # the CLI in a child where the walk yields {3,5} as a trip with c_1 = -1,
+    # as sys.exit(cli.main(argv)) or, given a module, as `python -m module`
+    # runs it, with an atexit hook that writes the freeze count on stderr
+    plant = ("import sys, peakpoly.verify as verify; walk = verify._walk; "
              "verify._walk = lambda top, roots, w: ((t, p, (0, -1, 18, 10, 2) if t == (3, 5) "
-             "else c) for t, p, c in walk(top, roots, w)); "
-             f"sys.exit(cli.main({list(argv)!r}))")
+             "else c) for t, p, c in walk(top, roots, w)); ")
+    if module is None:
+        plant += f"import peakpoly.cli as cli; sys.exit(cli.main({list(argv)!r}))"
+    else:
+        plant += ("import atexit, gc, runpy; atexit.register(lambda: print("
+                  "f'frozen {gc.get_freeze_count()}', file=sys.stderr)); "
+                  f"sys.argv = [{module!r}, *{list(argv)!r}]; "
+                  f"runpy.run_module({module!r}, run_name='__main__')")
     return subprocess.run([sys.executable, "-c", plant], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("poly", "--set", "2"), 0),
+    (("poly", "--set", "2,2"), 1),
+    (("nonsense",), 1),
+    (("poly", "--set", "1"), 2),
+    (("sweep", "--max-m", "16", "--checks", "logconcavity"), 3),
+])
+def test_the_entry_points_exit_as_main_returns_with_the_heap_frozen(argv, code):
+    # the exit of `python -m peakpoly` and of `python -m peakpoly.cli`
+    # freezes the heap before shutdown, with the stdout, stderr and exit
+    # code of sys.exit(main(argv))
+    base = _run_planted(*argv)
+    assert base.returncode == code, base.stderr
+    for module in ("peakpoly", "peakpoly.cli"):
+        result = _run_planted(*argv, module=module)
+        stderr, _, frozen = result.stderr.rpartition("frozen ")
+        assert int(frozen) > 0, module
+        assert (result.returncode, result.stdout, stderr) == \
+               (code, base.stdout, base.stderr), module
+    if code < 3:  # unplanted, through the package's own __main__
+        result = _run_module(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == \
+               (code, base.stdout, base.stderr)
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    import gc
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "poly", "--set", "3,7,12,17,20", "--format", "json")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_every_entry_point_names_run_and_exit():
+    # the console script's target is read as text, so this runs without
+    # tomllib (3.10)
+    import importlib
+
+    import peakpoly.__main__
+    import peakpoly.cli as cli
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    with open(os.path.join(src, "..", "..", "pyproject.toml")) as handle:
+        scripts = handle.read().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^peakpoly\s*=\s*"([\w.]+):(\w+)"$', scripts, re.M)
+    assert target, scripts
+    assert getattr(importlib.import_module(target[1]), target[2]) is cli.run_and_exit
+    assert peakpoly.__main__.run_and_exit is cli.run_and_exit
+    for name in ("__main__.py", "cli.py"):
+        with open(os.path.join(src, name)) as handle:
+            assert handle.read().endswith('\nif __name__ == "__main__":\n    run_and_exit()\n'), name
+
+
+def test_a_closed_stdout_exits_1_with_one_error_line():
+    # enumerate --n 9 prints 362,880 lines, far more than a pipe holds, so
+    # the child is still writing when its reader goes away
+    with subprocess.Popen([sys.executable, "-m", "peakpoly", "enumerate", "--n", "9"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "1 2 3 4 5 6 7 8 9\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 def test_a_planted_trip_that_log_concavity_passes_exits_3_via_subprocess():
@@ -640,11 +711,13 @@ def test_cold_import_leaves_out_dataclasses_and_inspect():
     # -S: no .pth file in site-packages can pre-load a module; dataclasses
     # pulls in inspect, ast, dis and tokenize, about 10 ms of every cold
     # call, and tempfile 6-7 ms, needed only to write a sweep report; the
-    # records are collections.namedtuple subclasses, so typing stays out too
+    # records are collections.namedtuple subclasses, so typing stays out too;
+    # json (1.6 ms) and csv (0.5 ms) load only when a call writes that format
     import peakpoly
     src = os.path.dirname(os.path.dirname(os.path.abspath(peakpoly.__file__)))
     code = (f"import sys; sys.path.insert(0, {src!r}); import peakpoly, peakpoly.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'tempfile', 'typing'} & set(sys.modules)))")
+            "print(sorted({'csv', 'dataclasses', 'inspect', 'json', 'tempfile', 'typing'}"
+            " & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
