@@ -11,14 +11,16 @@ without visiting each one: every permutation is exactly one head pattern
 (the relative order of its first n // 2 entries), one tail pattern (that of
 the rest) and one split of the values between the two, and each peak
 depends only on the head pattern, on the tail pattern, or on one comparison
-where the two meet (see _peak_set_counts).  So S_n is counted in
-h! + t! + C(n, h) steps plus a pass over pairs of classes, with no formula
+where the two meet (see _peak_set_counts).  So S_n is counted from one
+scan of the h! + t! patterns (h! when t = h), a closed binomial count of
+the value splits and a pass over pairs of classes, with no peak formula
 and no peak theory.  Listing the permutations themselves still visits all
 n! of them.  Both refuse to run above a configurable cap instead of
 grinding for hours.
 """
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
@@ -160,43 +162,40 @@ def _peak_set_counts(n: int) -> dict[PeakSet, int]:
     after h + 1 the tail pattern alone.  The peak at h needs the head to rise
     into its last entry and A[rank of the head's last] > B[rank of the
     tail's first]; the peak at h + 1 needs the opposite comparison and the
-    tail to fall after its first entry.  So S_h and S_t are each scanned
-    once into classes, the C(n, h) value sets once into a table of how many
-    sets win each comparison, and every pair of classes adds to the key
+    tail to fall after its first entry.  One scan, classes, keys the
+    patterns of S_h, the heads, and of S_t (once in all when t = h), whose
+    reversals are the tails: a pattern's last entry is its reversal's
+    first, a rise into it a fall after that first, and a peak at i one at
+    n + 1 - i.  A[a] > B[b] exactly when A holds at most a of the
+    a + b + 1 least values, so greater[a][b] counts those sets in closed
+    form, out of C(n, h) in all, and every pair of classes adds to the key
     with the peak at h and to the key with the peak at h + 1.
     """
+    def classes(length: int) -> dict[tuple[PeakSet, int, bool], int]:
+        # (peaks, rank of the last entry, whether the pattern rises into it) -> patterns
+        found: dict[tuple[PeakSet, int, bool], int] = {}
+        for p in itertools.permutations(range(length)):
+            key = (tuple([i for i in range(2, length) if p[i - 2] < p[i - 1] > p[i]]),
+                   p[-1], length > 1 and p[-2] < p[-1])
+            found[key] = found.get(key, 0) + 1
+        return found
+
     h = n // 2
     t = n - h
     if not h:  # n = 1: no join, no peak
         return {(): 1}
-    # (peaks before h, rank of the last entry, whether the head rises into it) -> heads
-    heads: dict[tuple[PeakSet, int, bool], int] = {}
-    for p in itertools.permutations(range(h)):
-        key = (tuple([i for i in range(2, h) if p[i - 2] < p[i - 1] > p[i]]),
-               p[-1], h > 1 and p[-2] < p[-1])
-        heads[key] = heads.get(key, 0) + 1
-    # (peaks after h + 1, rank of the first entry, whether the tail falls after it) -> tails
-    tails: dict[tuple[PeakSet, int, bool], int] = {}
-    for p in itertools.permutations(range(t)):
-        key = (tuple([h + i for i in range(2, t) if p[i - 2] < p[i - 1] > p[i]]),
-               p[0], t > 1 and p[0] > p[1])
-        tails[key] = tails.get(key, 0) + 1
+    heads = classes(h)
+    # (peaks after h + 1, rank of the first entry, whether the tail falls after it, tails)
+    tails = [(tuple([n + 1 - i for i in reversed(peaks)]), b, falls, tally)
+             for (peaks, b, falls), tally in (heads if t == h else classes(t)).items()]
     # greater[a][b]: the value sets A with A[a] > B[b]; splits: all of them
-    greater = [[0] * t for _ in range(h)]
-    splits = 0
-    values = range(n)
-    for head in itertools.combinations(values, h):
-        tail = [v for v in values if v not in head]
-        splits += 1
-        for row, x in zip(greater, head):
-            for b, y in enumerate(tail):
-                if y > x:
-                    break
-                row[b] += 1
+    greater = [[sum(math.comb(a + b + 1, i) * math.comb(n - a - b - 1, h - i) for i in range(a + 1))
+                for b in range(t)] for a in range(h)]
+    splits = math.comb(n, h)
     counts: dict[PeakSet, int] = {}
     for (before, a, rises), times in heads.items():
         at_h = before + (h,) if rises else before
-        for (after, b, falls), tally in tails.items():
+        for after, b, falls, tally in tails:
             pairs = times * tally
             above = pairs * greater[a][b]
             key = at_h + after
@@ -213,7 +212,8 @@ def enumerate_by_peak_set(n: int, max_n: int = DEFAULT_ENUMERATION_CAP) -> dict[
     (max position, positions) order.  The count is exact over all of S_n
     without visiting each permutation: it pairs every head pattern of
     n // 2 entries with every tail pattern, weighted by how many splits of
-    the values put a peak at either side of the join.
+    the values, counted in closed form, put a peak at either side of the
+    join.
     """
     ensure_within_cap(n, max_n)
     return dict(_peak_set_counts(n))

@@ -19,9 +19,9 @@ that only a batch with no witness in any set can pass, so a sweep that
 finds nothing builds no report; with workers, it walks the sets in
 forked processes, a group of subtrees each, pinned where it can be to a
 CPU other than the parent's, and each sends back only its count of sets
-visited and the sets it kept.  A negative coefficient, which the paper
-rules out, that no selected check fails is an error in verify_set and in
-the sweep alike.
+visited and the sets it kept, with their coefficients.  A negative
+coefficient, which the paper rules out, that no selected check fails is
+an error, raised in _verify for verify_set and the sweep alike.
 """
 
 import itertools
@@ -161,12 +161,15 @@ def _batch_cleared(limbs: tuple[int, ...], length: int, m: int, logconcavity: bo
 
 
 def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int = 0,
-            n_max: int = 0, max_n: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
+            n_max: int = 0, max_n: int = DEFAULT_ENUMERATION_CAP,
+            then: str = "no selected check fails on it") -> VerificationReport:
     """The report of the named checks, in the given order (duplicates
     included), on the canonical set s and the coefficients raw of p_s at
     centre max(s).  Each check decides its witness, None when it holds,
     in the branch that reports it, and its verdict is read off that
-    witness; plus the notes.
+    witness; plus the notes.  A report that passes while raw holds some
+    c_j < 0, which log-concavity alone can pass, raises
+    NegativeCoefficientError instead, its message ending in then.
 
     s must be nonempty and admissible when a check other than counts is
     named, and k_max >= max(s) when positivity is; for an inadmissible s
@@ -230,7 +233,10 @@ def _verify(s: PeakSet, raw: tuple[int, ...], names: tuple[str, ...], k_max: int
             witnesses.append(("counts", witness))
             notes["counts"] = rows
     checks = tuple(CheckResult(name, witness is None, witness) for name, witness in witnesses)
-    return VerificationReport(s, m, checks, coeffs, notes)
+    report = VerificationReport(s, m, checks, coeffs, notes)
+    if report.passed and min(raw, default=0) < 0:  # no selected check sees its c_j < 0
+        raise _negative(s, raw, then)
+    return report
 
 
 def verify_positivity(positions: Iterable[int], k_max: int) -> VerificationReport:
@@ -296,11 +302,7 @@ def verify_set(positions: Iterable[int],
         raise ValueError(f"n_max must be >= {bound}, got {n_max}")
     if k_extra < 0 and "positivity" in names:  # else positivity would scan no centre
         raise ValueError(f"k_max must be >= max(S) = {m}, got {m + k_extra}")
-    raw = _peak_coefficients(s)
-    report = _verify(s, raw, names, m + k_extra, n_max, max_n)
-    if report.passed and min(raw, default=0) < 0:  # no selected check sees its c_j < 0
-        raise _negative(s, raw, "no selected check fails on it")
-    return report
+    return _verify(s, _peak_coefficients(s), names, m + k_extra, n_max, max_n)
 
 
 class SweepSummary(namedtuple("SweepSummary",
@@ -576,14 +578,15 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     all have c_0 = 0 and c_1..c_(m-1) > 0, and are log-concave with
     logconcavity selected, is cleared by one C-level pass per coefficient
     column.  A batch is tested once full and at the end of the walk.  Each
-    set of a batch that is not cleared is kept, and at the end gets
-    verify_set's full report, kept if a check fails.  A set that the walk
-    yields as a trip, with a negative coefficient, is kept with its
-    coefficients; the walk builds nothing from it.  The least trip in
+    set of a batch that is not cleared is kept as (max, set, coefficients),
+    and at the end gets verify_set's full report, kept if a check fails.  A
+    set that the walk yields as a trip is kept with its signed
+    coefficients, the one kind of row with a c_j < 0 (_rows reads unsigned
+    limbs), and the walk builds nothing from it.  The least trip in
     (max, lex) order is the last set reported, as in a build in that
     order, and its place in that order (_rank) is the number of sets
     checked; if no selected check fails on it (log-concavity alone may
-    not), the sweep raises NegativeCoefficientError instead.
+    not), _verify raises NegativeCoefficientError instead.
 
     The subtrees below the singletons {k} are independent once {k} is
     built: each process walks one group of them (_deal, _walk_groups),
@@ -605,7 +608,7 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
     width = (_limb_bound(m_max).bit_length() // 64 + 1) * 64
 
     def walk(group: list[int]) -> tuple[int, list]:
-        # kept rows (max, set, tripped, coefficients)
+        # kept rows (max, set, coefficients), some c_j < 0 only in a trip
         kept, visited = [], 0
         # by maximum, the (set, entry) pairs not yet tested
         batches: list[list[tuple[PeakSet, int]]] = [[] for _ in range(m_max + 1)]
@@ -614,14 +617,14 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
             batch = batches[m]
             limbs, length = _rows(batch, m, width)
             if not _batch_cleared(limbs, length, m, logconcavity):
-                kept.extend((m, t, False, _trimmed(limbs[i * length:(i + 1) * length]))
+                kept.extend((m, t, _trimmed(limbs[i * length:(i + 1) * length]))
                             for i, (t, _) in enumerate(batch))
             batch.clear()
 
         for visited, (t, entry, signed) in enumerate(_walk(m_max, set(group), width), 1):
             m = t[-1]
             if signed is not None:
-                kept.append((m, t, True, signed))
+                kept.append((m, t, signed))
                 continue
             batch = batches[m]
             batch.append((t, entry))
@@ -638,16 +641,13 @@ def sweep(m_max: int, checks: Iterable[str] = SWEEP_CHECKS,
         checked += visited
         kept += rows
     kept.sort()  # in (max, lex) order, as no two rows hold one set
-    # the least trip, if any, is the last set checked and reported
-    end = next((i for i, row in enumerate(kept) if row[2]), None)
+    # the least trip, if any, is the last set checked and reported: rows
+    # decoded from limbs (_rows) hold no c_j < 0
+    end = next((i for i, (_, _, raw) in enumerate(kept) if min(raw, default=0) < 0), None)
     if end is not None:
         checked = _rank(kept[end][1])
         del kept[end + 1:]
-    failures = []
-    for m, s, tripped, raw in kept:
-        report = _verify(s, raw, names, m + k_extra)
-        if not report.passed:
-            failures.append(report)
-        elif tripped:  # no selected check sees its c_j < 0
-            raise _negative(s, raw, f"the sweep stops there, after {checked} sets")
+    then = f"the sweep stops there, after {checked} sets"
+    reports = [_verify(s, raw, names, m + k_extra, then=then) for m, s, raw in kept]
+    failures = [report for report in reports if not report.passed]
     return SweepSummary(m_max, names, checked, tuple(failures), time.perf_counter() - start)

@@ -394,6 +394,27 @@ def test_the_walk_builds_nothing_from_a_trip():
     assert len(tripped) == 16374 and sum(t[-1] < 24 for t in tripped) == 2970
 
 
+@pytest.mark.parametrize("width", [64, 128, 192])
+def test_a_trip_decodes_to_its_coefficients(width):
+    # a tripping entry is sum c_j 2^(j width) with digits in
+    # [-2^(width-1), 2^(width-1)); _signed reads back those digits, trimmed,
+    # given HIGH, the top bit of each of the walk's limbs
+    half = 1 << width - 1
+    top = 4
+    high = sum(half << j * width for j in range(top))
+    cases = [
+        ((3, 1, -2), (3, 1, -2)),  # a negative top digit: the entry is < 0
+        ((3, -5, 7), (3, -5, 7)),  # a negative middle digit
+        ((-half, half - 1, 1, -half), (-half, half - 1, 1, -half)),  # both extreme digits
+        ((half - 1, -half, 0), (half - 1, -half)),  # the extreme top digit, negative
+        ((0, -2, 0, 0), (0, -2)),  # trailing zeros are trimmed
+    ]
+    entries = [sum(c << j * width for j, c in enumerate(coeffs)) for coeffs, _ in cases]
+    assert entries[0] < 0 < entries[1]
+    for entry, (coeffs, expected) in zip(entries, cases):
+        assert verify._signed(entry, width, high) == expected, (width, coeffs)
+
+
 def _sizes(sets):
     # the (maximum, size) classes of sets, as sizes by maximum
     sizes = {}

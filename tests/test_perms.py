@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from peakpoly import perms
 from peakpoly.perms import (
     EnumerationCapError,
+    PeakSet,
     as_peak_set,
     count_bruteforce,
     enumerate_by_peak_set,
@@ -113,6 +115,98 @@ def _reference_peak_set_counts(n):
         for inner, tally in tails[row].items():
             counts[key + inner] = counts.get(key + inner, 0) + times * tally
     return {s: counts[s] for s in sorted(counts, key=lambda s: (s[-1] if s else 0, s))}
+
+
+# the oracle as it counted before its split count was closed, verbatim:
+# it scans S_h and S_t each for their patterns and every one of the C(n, h)
+# value splits for the comparisons at the join
+def _reference_split_scan_counts(n: int) -> dict[PeakSet, int]:
+    """Exact peak-set counts of S_n, keyed in (max position, positions) order.
+
+    Every permutation is exactly one triple: a head pattern (the relative
+    order of its first h = n // 2 entries), a tail pattern (that of the other
+    t = n - h) and the set A of the h values that go to the head, the tail
+    taking the rest, B.  Peaks before h read the head pattern alone and peaks
+    after h + 1 the tail pattern alone.  The peak at h needs the head to rise
+    into its last entry and A[rank of the head's last] > B[rank of the
+    tail's first]; the peak at h + 1 needs the opposite comparison and the
+    tail to fall after its first entry.  So S_h and S_t are each scanned
+    once into classes, the C(n, h) value sets once into a table of how many
+    sets win each comparison, and every pair of classes adds to the key
+    with the peak at h and to the key with the peak at h + 1.
+    """
+    h = n // 2
+    t = n - h
+    if not h:  # n = 1: no join, no peak
+        return {(): 1}
+    # (peaks before h, rank of the last entry, whether the head rises into it) -> heads
+    heads: dict[tuple[PeakSet, int, bool], int] = {}
+    for p in itertools.permutations(range(h)):
+        key = (tuple([i for i in range(2, h) if p[i - 2] < p[i - 1] > p[i]]),
+               p[-1], h > 1 and p[-2] < p[-1])
+        heads[key] = heads.get(key, 0) + 1
+    # (peaks after h + 1, rank of the first entry, whether the tail falls after it) -> tails
+    tails: dict[tuple[PeakSet, int, bool], int] = {}
+    for p in itertools.permutations(range(t)):
+        key = (tuple([h + i for i in range(2, t) if p[i - 2] < p[i - 1] > p[i]]),
+               p[0], t > 1 and p[0] > p[1])
+        tails[key] = tails.get(key, 0) + 1
+    # greater[a][b]: the value sets A with A[a] > B[b]; splits: all of them
+    greater = [[0] * t for _ in range(h)]
+    splits = 0
+    values = range(n)
+    for head in itertools.combinations(values, h):
+        tail = [v for v in values if v not in head]
+        splits += 1
+        for row, x in zip(greater, head):
+            for b, y in enumerate(tail):
+                if y > x:
+                    break
+                row[b] += 1
+    counts: dict[PeakSet, int] = {}
+    for (before, a, rises), times in heads.items():
+        at_h = before + (h,) if rises else before
+        for (after, b, falls), tally in tails.items():
+            pairs = times * tally
+            above = pairs * greater[a][b]
+            key = at_h + after
+            counts[key] = counts.get(key, 0) + above
+            key = (before + (h + 1,) if falls else before) + after
+            counts[key] = counts.get(key, 0) + pairs * splits - above
+    return {s: counts[s] for s in sorted(counts, key=lambda s: (s[-1] if s else 0, s))}
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_one_pattern_scan_matches_the_split_scan(n):
+    # keys, key order and counts
+    counts = enumerate_by_peak_set(n, max_n=16)
+    reference = _reference_split_scan_counts(n)
+    assert counts == reference
+    assert list(counts) == list(reference)
+
+
+@pytest.mark.parametrize("n, scanned", [(1, []), (2, [1]), (3, [1, 2]), (10, [5]), (11, [5, 6])])
+def test_the_oracle_scans_each_pattern_length_once(monkeypatch, n, scanned):
+    # S_h serves as heads and, read backwards, as tails when n is even; the
+    # value splits are counted in closed form, not listed
+    lengths = []
+    permutations = itertools.permutations
+
+    def counted(values, *args):
+        lengths.append(len(values))
+        return permutations(values, *args)
+
+    def listed(*args):
+        raise AssertionError("the value splits are listed")
+
+    monkeypatch.setattr(itertools, "permutations", counted)
+    monkeypatch.setattr(itertools, "combinations", listed)
+    perms._peak_set_counts.cache_clear()
+    try:
+        assert sum(enumerate_by_peak_set(n, max_n=11).values()) == math.factorial(n)
+    finally:
+        perms._peak_set_counts.cache_clear()
+    assert sorted(lengths) == scanned
 
 
 @pytest.mark.parametrize("n", range(1, 12))

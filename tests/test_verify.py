@@ -375,11 +375,16 @@ def test_order_m_witness_matches_the_evaluating_scan(raw_and_centre, k_extra):
        st.integers(min_value=2, max_value=10))
 def test_log_concavity_witness_matches_the_padded_scan(raw, m):
     # the witness reads the coefficients as given, however short or long;
-    # a scan of c_0..c_m padded with zeros finds the same first dip
+    # a scan of c_0..c_m padded with zeros finds the same first dip; with
+    # no dip, a c_j < 0 anywhere in raw raises instead of passing
     c = raw[:m + 1] + [0] * (m + 1 - len(raw))
     dip = next((j for j in range(2, m - 1) if c[j] ** 2 < c[j - 1] * c[j + 1]), None)
-    assert (_verify((m,), tuple(raw), ("logconcavity",)).checks
-            == (CheckResult("logconcavity", dip is None, dip),))
+    if dip is None and min(raw, default=0) < 0:
+        with pytest.raises(NegativeCoefficientError, match="; no selected check fails on it$"):
+            _verify((m,), tuple(raw), ("logconcavity",))
+    else:
+        assert (_verify((m,), tuple(raw), ("logconcavity",)).checks
+                == (CheckResult("logconcavity", dip is None, dip),))
 
 
 def test_log_concavity_worked_example():
